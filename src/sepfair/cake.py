@@ -47,10 +47,8 @@ class Allocation:
     topology: Topology = Topology.CAKE
 
     def pieces_in_order(self) -> List[Tuple[int, Interval]]:
-        if self.topology is Topology.CAKE:
-            return sorted(self.assignment.items(), key=lambda kv: kv[1].left)
-        # clockwise from 0; the first piece is the one containing or
-        # following point 0
+        """(agent, piece) pairs by left endpoint: left to right on a cake,
+        clockwise from point 0 on a pie."""
         return sorted(self.assignment.items(), key=lambda kv: kv[1].left)
 
 

@@ -141,8 +141,10 @@ def run(args) -> tuple:
         n = args.n if args.n is not None else inst.n
         v = _agent_valuation(inst, args.agent)
         if inst.topology is not Topology.CAKE:
-            raise InputError("exact shares are computed on cakes only; "
-                             "pie shares admit no exact algorithm")
+            raise InputError("mms-exact runs on cakes only; for a pie, "
+                             "'check' audits against the exact "
+                             "1-out-of-(n+1) share and 'mms-approx' "
+                             "approximates any 1-out-of-k share")
         share, part = exact_mms(v, n, inst.s)
         out = {"agent": args.agent, "n": n, "s": fmt(inst.s),
                "mms": fmt(share), "partition": _witness_json(part)}

@@ -10,6 +10,13 @@ guarantee.  ``brute_mms_interval_enum`` is the independent oracle: it
 enumerates *every* monotone assignment and takes the maximum, so the two
 paths check each other.
 
+That linear program comes from one slot-pinned placement model
+(``_position_exprs``, ``_slot_pairs``, ``_placement_rows``, ``_piece_value``
+and ``_maxmin_lp``), which has four users: the cake share
+(``solve_lp_exact``), the pie share (``pie_exact_mms``, one LP per rotation
+and slot assignment), and the exact equitable and envy-free fallbacks in
+``fairness``.
+
 All arithmetic is exact; every LP solution is verified against its
 constraints with zero residual before being trusted.
 """
@@ -64,93 +71,102 @@ class LPSolution:
     cut_points: Optional[Tuple[Fraction, ...]]   # x_0 .. x_k
 
 
-def _piece_value_expr(v: PiecewiseConstantValuation, ell: int, r: int):
-    """Linearization of value(y, y') for y in segment ell, y' in segment r:
-    returns (coef_y, coef_y', const) with ell <= r (also valid for ell == r).
-    """
-    p, g = v.breakpoints, v.densities
-    w = v._prefix
-    const = p[ell] * g[ell - 1] + (w[r - 1] - w[ell]) - p[r - 1] * g[r - 1]
-    return -g[ell - 1], g[r - 1], const
+# -- the slot-pinned placement model -------------------------------------------
+#
+# Once every piece endpoint is pinned to a slot (the stretch between two
+# consecutive breakpoints), each endpoint is an affine form in the cut
+# variables, each piece value is affine too, and one small LP settles the
+# assignment.  An affine form is (coeffs, const), coeffs a {column: coef}
+# dict.
 
 
-def _build_rows(lp: LPInstance):
-    """Assemble max-c rows over variables (x_1 .. x_{k-1}, c).
+def _position_exprs(n, s, lo, hi):
+    """Affine forms of the endpoints of pieces [lo, x_1], [x_1+s, x_2], ..,
+    [x_{n-1}+s, hi] over x_1..x_{n-1} (columns 0..n-2), one (left, right)
+    pair per piece."""
+    exprs = []
+    for q in range(1, n + 1):
+        left = ({}, lo) if q == 1 else ({q - 2: ONE}, s)
+        right = ({}, hi) if q == n else ({q - 1: ONE}, ZERO)
+        exprs.append((left, right))
+    return exprs
 
-    Returns (objective, a_ub, b_ub) or None when a constant constraint is
-    already violated (constant endpoints 0 and t are checked here).
-    """
-    v, s, t = lp.valuation, lp.s, lp.t
-    entries = lp.intervals.entries
-    k = len(entries)
-    p = v.breakpoints
-    d = len(v.densities)
-    if any(r > d for pair in entries for r in pair):
-        raise InputError("segment index beyond the last segment")
-    nx = k - 1
-    c_col = nx
+
+def _slot_pairs(nslots, n):
+    """Every weakly increasing slot assignment of the 2n endpoints of n
+    pieces that starts in slot 1 and ends in slot ``nslots``, as one
+    (left slot, right slot) pair per piece."""
+    for mid in combinations_with_replacement(range(1, nslots + 1), 2 * n - 2):
+        seq = (1, *mid, nslots)
+        yield tuple(zip(seq[::2], seq[1::2]))
+
+
+def _placement_rows(edges, exprs, pairs, nvars):
+    """Rows (a_ub, b_ub) over ``nvars`` columns that keep each endpoint in
+    its slot [edges[slot-1], edges[slot]], then the piece's left <= right,
+    piece by piece; None when a constant endpoint breaks these."""
     a_ub: List[List[Fraction]] = []
     b_ub: List[Fraction] = []
+    for (left, right), slots in zip(exprs, pairs):
+        for (coeffs, const), slot in zip((left, right), slots):
+            lo, hi = edges[slot - 1], edges[slot]
+            if not coeffs:
+                if not lo <= const <= hi:
+                    return None
+                continue
+            for sign, bound in ((-ONE, const - lo), (ONE, hi - const)):
+                row = [ZERO] * nvars
+                for col, a in coeffs.items():
+                    row[col] = sign * a
+                a_ub.append(row)
+                b_ub.append(bound)
+        if not (left[0] or right[0]):
+            if left[1] > right[1]:
+                return None
+            continue
+        row = [ZERO] * nvars
+        for col, a in left[0].items():
+            row[col] += a
+        for col, a in right[0].items():
+            row[col] -= a
+        a_ub.append(row)
+        b_ub.append(right[1] - left[1])
+    return a_ub, b_ub
 
-    def row(coeffs: dict, bound: Fraction):
-        r = [ZERO] * (nx + 1)
-        for col, a in coeffs.items():
-            r[col] += a
-        a_ub.append(r)
-        b_ub.append(bound)
 
-    def affine_left(q):
-        """Left endpoint of piece q as ({col: coef}, const)."""
-        if q == 1:
-            return {}, ZERO
-        return {q - 2: ONE}, s
+def _piece_value(edges, dens, prefix, left, right, a, b, nvars):
+    """One agent's value of the piece [left, right] with its ends in slots
+    a and b, given her density on each slot and her prefix value at each
+    edge, as an affine form (coefficients over ``nvars`` columns, const)."""
+    gl, gr = dens[a - 1], dens[b - 1]
+    const = edges[a] * gl + (prefix[b - 1] - prefix[a]) - edges[b - 1] * gr
+    coeffs = [ZERO] * nvars
+    for col, x in left[0].items():
+        coeffs[col] -= gl * x
+    const -= gl * left[1]
+    for col, x in right[0].items():
+        coeffs[col] += gr * x
+    const += gr * right[1]
+    return coeffs, const
 
-    def affine_right(q):
-        if q == k:
-            return {}, t
-        return {q - 1: ONE}, ZERO
 
-    feasible = True
-
-    def bounds(expr, lo, hi):
-        nonlocal feasible
-        coeffs, const = expr
-        if not coeffs:
-            if not (lo <= const <= hi):
-                feasible = False
-            return
-        row({c: -a for c, a in coeffs.items()}, const - lo)   # expr >= lo
-        row(dict(coeffs), hi - const)                         # expr <= hi
-
-    for q, (ell, r) in enumerate(entries, start=1):
-        left, right = affine_left(q), affine_right(q)
-        bounds(left, p[ell - 1], p[ell])
-        bounds(right, p[r - 1], p[r])
-        # ordering: left <= right
-        coeffs = {c: a for c, a in left[0].items()}
-        for c, a in right[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) - a
-        const = left[1] - right[1]
-        if coeffs:
-            row(coeffs, -const)
-        elif const > 0:
-            feasible = False
-        # piece value >= c
-        cy, cy2, vconst = _piece_value_expr(v, ell, r)
-        coeffs = {c_col: ONE}
-        vtotal = vconst
-        for c, a in left[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) - cy * a
-        vtotal += cy * left[1]
-        for c, a in right[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) - cy2 * a
-        vtotal += cy2 * right[1]
-        row(coeffs, vtotal)
-
-    if not feasible:
-        return None
-    objective = [ZERO] * nx + [ONE]
-    return objective, a_ub, b_ub
+def _maxmin_lp(edges, dens, prefix, exprs, pairs, nvars):
+    """Maximize c, the last of ``nvars`` columns, with every piece placed in
+    its slots and worth at least c.  Returns the simplex result, or None
+    when a constant endpoint is misplaced."""
+    a_ub: List[List[Fraction]] = []
+    b_ub: List[Fraction] = []
+    for (left, right), (a, b) in zip(exprs, pairs):
+        rows = _placement_rows(edges, [(left, right)], [(a, b)], nvars)
+        if rows is None:
+            return None
+        a_ub += rows[0]
+        b_ub += rows[1]
+        coeffs, const = _piece_value(edges, dens, prefix, left, right, a, b,
+                                     nvars)
+        a_ub.append([-x for x in coeffs[:-1]] + [ONE])    # c <= value
+        b_ub.append(const)
+    return simplex.solve_lp([ZERO] * (nvars - 1) + [ONE], a_ub, b_ub)
 
 
 def solve_lp_exact(lp: LPInstance) -> LPSolution:
@@ -159,26 +175,26 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     The optimum, when feasible, is returned together with the full cut
     vector x_0 .. x_k; every constraint is re-checked with zero residual.
     """
-    built = _build_rows(lp)
-    if built is None:
-        return LPSolution(simplex.INFEASIBLE, None, None)
-    objective, a_ub, b_ub = built
-    res = simplex.solve_lp(objective, a_ub, b_ub)
-    if res.status == simplex.INFEASIBLE:
+    v, entries = lp.valuation, lp.intervals.entries
+    if any(r > len(v.densities) for pair in entries for r in pair):
+        raise InputError("segment index beyond the last segment")
+    k = len(entries)
+    res = _maxmin_lp(v.breakpoints, v.densities, v._prefix,
+                     _position_exprs(k, lp.s, ZERO, lp.t), entries, k)
+    if res is None or res.status == simplex.INFEASIBLE:
         return LPSolution(simplex.INFEASIBLE, None, None)
     if res.status != simplex.OPTIMAL:
         raise InternalError(f"piece-placement LP reported {res.status}")
-    k = len(lp.intervals.entries)
     xs = res.x[:-1]
     cuts = (-lp.s, *xs, lp.t)
     c = res.objective
-    p = lp.valuation.breakpoints
-    for q, (ell, r) in enumerate(lp.intervals.entries, start=1):
+    p = v.breakpoints
+    for q, (ell, r) in enumerate(entries, start=1):
         y, y2 = cuts[q - 1] + lp.s, cuts[q]
         if not (p[ell - 1] <= y <= p[ell] and p[r - 1] <= y2 <= p[r]
                 and y <= y2):
             raise InternalError("LP solution violates a placement constraint")
-        if lp.valuation.value_between(y, y2) < c:
+        if v.value_between(y, y2) < c:
             raise InternalError("LP solution violates a value constraint")
     return LPSolution(simplex.OPTIMAL, c, cuts)
 
@@ -245,31 +261,13 @@ def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
 # -- interval selection (left-to-right endpoint placement) ---------------------
 
 
-def _first_failing(candidates: Sequence[int], pred, binary: bool) -> Optional[int]:
-    """Smallest candidate where ``pred`` is False.
-
-    The predicates used here are monotone (True on a prefix of the
-    candidate list), which makes binary search valid; the linear scan is
-    the default at desk scale.
-    """
-    if not binary:
-        for j in candidates:
-            if not pred(j):
-                return j
-        return None
-    lo, hi = 0, len(candidates)   # invariant: first failure index in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(candidates[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return candidates[lo] if lo < len(candidates) else None
+def _first_failing(candidates: Sequence[int], pred) -> Optional[int]:
+    """Smallest candidate where ``pred`` is False, scanning left to right."""
+    return next((j for j in candidates if not pred(j)), None)
 
 
-def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
-                         *, binary_search: bool = False,
-                         stats: Optional[dict] = None) -> IntervalList:
+def select_interval_list(v: PiecewiseConstantValuation, n: int,
+                         s) -> IntervalList:
     """Find segment assignments consistent with some optimal partition.
 
     Scans left to right: picks the segment of the first piece's right
@@ -283,22 +281,13 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
         raise InputError("interval selection runs on cakes")
     p = v.breakpoints
     d = len(v.densities)
-    if stats is not None:
-        stats.setdefault("lp_calls", 0)
-        stats.setdefault("greedy_calls", 0)
-
-    def bump(key):
-        if stats is not None:
-            stats[key] += 1
 
     def suffix_atleast(parts, value, start):
-        bump("greedy_calls")
         if start > 1:
             return False
         return explicit_decide_atleast(v, parts, s, value, start, ONE)
 
     def lp_opt(entries, t):
-        bump("lp_calls")
         sol = solve_lp_exact(LPInstance(v, s, t, IntervalList(tuple(entries))))
         return sol.objective if sol.status == simplex.OPTIMAL else None
 
@@ -307,8 +296,7 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
     # can still secure beyond it.
     r1 = _first_failing(
         list(range(0, d + 1)),
-        lambda j: suffix_atleast(n - 1, v._prefix[j], p[j] + s),
-        binary_search)
+        lambda j: suffix_atleast(n - 1, v._prefix[j], p[j] + s))
     if r1 is None or r1 == 0:
         raise InternalError("no valid segment for the first right endpoint")
     entries: List[Tuple[int, int]] = [(1, r1)]
@@ -327,7 +315,7 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
                 return True
             return suffix_atleast(n - k + 1, copt, p[j])
 
-        ell = _first_failing(lcands, ell_pred, binary_search)
+        ell = _first_failing(lcands, ell_pred)
         if ell is None:
             raise InternalError(f"no left-endpoint segment found at piece {k}")
 
@@ -344,7 +332,7 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
                 return True
             return suffix_atleast(n - k, copt, p[j] + s)
 
-        rk = _first_failing(rcands, r_pred, binary_search)
+        rk = _first_failing(rcands, r_pred)
         if rk is None:
             raise InternalError(f"no right-endpoint segment found at piece {k}")
         entries.append((ell, rk))
@@ -352,9 +340,8 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int, s,
     return IntervalList(tuple(entries))
 
 
-def exact_mms(v: PiecewiseConstantValuation, n: int, s,
-              *, binary_search: bool = False,
-              stats: Optional[dict] = None) -> Tuple[Fraction, Partition]:
+def exact_mms(v: PiecewiseConstantValuation, n: int,
+              s) -> Tuple[Fraction, Partition]:
     """Exact best guaranteed share over n pieces separated by s, with an
     optimal partition achieving it (the optimum is attained, not just
     approached)."""
@@ -368,8 +355,7 @@ def exact_mms(v: PiecewiseConstantValuation, n: int, s,
     s = _check_params(n, s)
     if not explicit_decide_greater(v, n, s, ZERO, ZERO, ONE, total=ONE):
         return ZERO, _trivial_partition(n, s, ONE)
-    entries = select_interval_list(v, n, s, binary_search=binary_search,
-                                   stats=stats)
+    entries = select_interval_list(v, n, s)
     sol = solve_lp_exact(LPInstance(v, s, ONE, entries))
     if sol.status != simplex.OPTIMAL:
         raise InternalError("selected interval list gave an infeasible LP")
@@ -432,13 +418,7 @@ def brute_mms_interval_enum(v: PiecewiseConstantValuation, n: int, s,
     if count > max_lists:
         raise InputError(f"instance too large: {count} assignments")
     best = ZERO
-    for mid in combinations_with_replacement(range(1, d + 1), free):
-        seq = (1,) + mid + (d,)
-        if seq[0] > seq[1]:
-            continue
-        if seq[-2] > seq[-1]:
-            continue
-        entries = tuple((seq[2 * q], seq[2 * q + 1]) for q in range(n))
+    for entries in _slot_pairs(d, n):
         if not _forward_feasible(entries, v.breakpoints, s, ONE):
             continue
         sol = solve_lp_exact(LPInstance(v, s, ONE, IntervalList(entries)))
@@ -500,6 +480,12 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s,
     d = len(g)
     best = ZERO
     free = 2 * k - 1
+    # pieces [z, x_1], [x_1+s, x_2], .., [x_{k-1}+s, z+1-s] over the columns
+    # (z, x_1..x_{k-1}, c)
+    z = {0: ONE}
+    exprs = [((z, ZERO) if q == 1 else ({q - 1: ONE}, s),
+              (z, ONE - s) if q == k else ({q: ONE}, ZERO))
+             for q in range(1, k + 1)]
     for t in range(1, d + 1):
         # Unrolled axis [p_{t-1}, 1 + p_t]: original segments from t on,
         # wrapped around, with segment t appearing at both ends.
@@ -518,13 +504,13 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s,
             raise InputError("pie benchmark instance too large")
 
         for mid in combinations_with_replacement(range(1, nseg + 1), free):
-            seq = (1,) + mid   # slots of (z, x_1, x_1+s ... fold into pairs)
-            pairs = tuple((seq[2 * q], seq[2 * q + 1]) for q in range(k))
+            seq = (1, *mid)      # the first piece starts in slot 1
+            pairs = tuple(zip(seq[::2], seq[1::2]))
             if not _pie_forward_feasible(k, s, bps, pairs):
                 continue
-            res = _solve_pie_rotation_lp(k, s, bps, dens, prefix, pairs)
-            if res is not None and res > best:
-                best = res
+            res = _maxmin_lp(bps, dens, prefix, exprs, pairs, k + 1)
+            if res.status == simplex.OPTIMAL and res.objective > best:
+                best = res.objective
     return best
 
 
@@ -548,70 +534,3 @@ def _pie_forward_feasible(k, s, bps, pairs) -> bool:
             return False
         lo, hi = lo2, hi2
     return True
-
-
-def _solve_pie_rotation_lp(k, s, bps, dens, prefix, pairs):
-    """max c for pieces [z, x_1], [x_1+s, x_2], .., [x_{k-1}+s, z+1-s] with
-    endpoint slots fixed on the unrolled axis; variables (z, x_1..x_{k-1}, c).
-    Returns the optimum or None when infeasible."""
-    nx = k          # z plus x_1..x_{k-1}
-    c_col = nx
-    a_ub: List[List[Fraction]] = []
-    b_ub: List[Fraction] = []
-    feasible = True
-
-    def row(coeffs: dict, bound: Fraction):
-        r = [ZERO] * (nx + 1)
-        for col, a in coeffs.items():
-            r[col] += a
-        a_ub.append(r)
-        b_ub.append(bound)
-
-    def bounds(expr, lo, hi):
-        nonlocal feasible
-        coeffs, const = expr
-        if not coeffs:
-            if not (lo <= const <= hi):
-                feasible = False
-            return
-        row({c: -a for c, a in coeffs.items()}, const - lo)
-        row(dict(coeffs), hi - const)
-
-    def left_expr(q):
-        if q == 1:
-            return {0: ONE}, ZERO              # z
-        return {q - 1: ONE}, s                 # x_{q-1} + s
-
-    def right_expr(q):
-        if q == k:
-            return {0: ONE}, ONE - s           # z + 1 - s
-        return {q: ONE}, ZERO                  # x_q
-
-    for q, (a_slot, b_slot) in enumerate(pairs, start=1):
-        left, right = left_expr(q), right_expr(q)
-        bounds(left, bps[a_slot - 1], bps[a_slot])
-        bounds(right, bps[b_slot - 1], bps[b_slot])
-        coeffs = dict(left[0])
-        for c, a in right[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) - a
-        row(coeffs, right[1] - left[1])        # left <= right
-        gl, gr = dens[a_slot - 1], dens[b_slot - 1]
-        vconst = bps[a_slot] * gl + (prefix[b_slot - 1] - prefix[a_slot]) \
-            - bps[b_slot - 1] * gr
-        coeffs = {c_col: ONE}
-        vtotal = vconst
-        for c, a in left[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) + gl * a
-        vtotal += -gl * left[1]
-        for c, a in right[0].items():
-            coeffs[c] = coeffs.get(c, ZERO) - gr * a
-        vtotal += gr * right[1]
-        row(coeffs, vtotal)
-
-    if not feasible:
-        return None
-    objective = [ZERO] * nx + [ONE]
-    res = simplex.solve_lp(objective, a_ub, b_ub)
-    if res.status != simplex.OPTIMAL:
-        return None
-    return res.objective

@@ -21,19 +21,26 @@ simplex of piece lengths summing to (domain length) - (n-1)s:
   a coarse resolution always finds a fully-labeled cell; refinement is
   local, escalating to a finer global scan and finally to an exact
   assignment-enumeration solve in the (rare) degenerate cases.
+
+Both exact fallbacks (``_equitable_exact`` and ``_envy_free_exact``) build
+their LPs from the slot-pinned placement model of ``exact_mms``, which the
+cake and pie share LPs use too: the placement rows are shared, and each
+fallback adds only its own rows ('every piece is worth c', or 'no agent
+values another piece above her own').
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from typing import Optional, Sequence, Tuple
 
 from . import simplex
 from .cake import Allocation
 from .errors import InputError, InternalError
-from .exact_mms import exact_mms, pie_exact_mms
+from .exact_mms import (_piece_value, _placement_rows, _position_exprs,
+                        _slot_pairs, exact_mms, pie_exact_mms)
 from .rationals import frac
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
                          Topology, cut_leftmost, pieces_separated)
@@ -181,39 +188,13 @@ def _merged_slots(vs, lo, hi):
     return edges, dens, prefix
 
 
-def _piece_rows(edges, dens_a, prefix_a, left_expr, right_expr, a_slot,
-                b_slot, nvars):
-    """Rows for 'value of [left, right] for one agent' with endpoints in
-    fixed slots: returns (coeffs, const) of the value as an affine form."""
-    gl, gr = dens_a[a_slot - 1], dens_a[b_slot - 1]
-    const = (edges[a_slot] * gl
-             + (prefix_a[b_slot - 1] - prefix_a[a_slot])
-             - edges[b_slot - 1] * gr)
-    coeffs = [ZERO] * nvars
-    lcoeffs, lconst = left_expr
-    rcoeffs, rconst = right_expr
-    for c, a in lcoeffs.items():
-        coeffs[c] -= gl * a
-    const -= gl * lconst
-    for c, a in rcoeffs.items():
-        coeffs[c] += gr * a
-    const += gr * rconst
-    return coeffs, const
-
-
-def _position_exprs(n, s, lo, hi):
-    """Affine forms of all piece endpoints over variables x_1..x_{n-1}:
-    piece q runs from expr 2q-2 to expr 2q-1 in the flattened list."""
-    exprs = []
-    for q in range(1, n + 1):
-        left = ({}, lo) if q == 1 else ({q - 2: ONE}, s)
-        right = ({}, hi) if q == n else ({q - 1: ONE}, ZERO)
-        exprs.append((left, right))
-    return exprs
-
-
-def _slot_assignments(nslots, count):
-    return combinations_with_replacement(range(1, nslots + 1), count)
+def _pieces_at(xs, s, lo, hi) -> Optional[Tuple[Interval, ...]]:
+    """Pieces [lo, x_1], [x_1+s, x_2], .., [x_{n-1}+s, hi]; None when one
+    of them would run backwards."""
+    lefts, rights = (lo, *(x + s for x in xs)), (*xs, hi)
+    if any(a > b for a, b in zip(lefts, rights)):
+        return None
+    return tuple(Interval(a, b) for a, b in zip(lefts, rights))
 
 
 def _equitable_exact(vs, s, order, lo, hi) -> Tuple[Interval, ...]:
@@ -222,82 +203,25 @@ def _equitable_exact(vs, s, order, lo, hi) -> Tuple[Interval, ...]:
     feasibility LP with equality constraints 'every piece is worth c'."""
     n = len(vs)
     edges, dens, prefix = _merged_slots(vs, lo, hi)
-    nslots = len(edges) - 1
     exprs = _position_exprs(n, s, lo, hi)
     nvars = n            # x_1 .. x_{n-1}, c
-    c_col = n - 1
-    for slots in _slot_assignments(nslots, 2 * (n - 1)):
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        ok = True
-
-        def bound(expr, slot):
-            nonlocal ok
-            coeffs, const = expr
-            lo_b, hi_b = edges[slot - 1], edges[slot]
-            if not coeffs:
-                if not (lo_b <= const <= hi_b):
-                    ok = False
-                return
-            row = [ZERO] * nvars
-            for c, a in coeffs.items():
-                row[c] = -a
-            a_ub.append(row)
-            b_ub.append(const - lo_b)
-            row = [ZERO] * nvars
-            for c, a in coeffs.items():
-                row[c] = a
-            a_ub.append(row)
-            b_ub.append(hi_b - const)
-
-        # slot of each variable position; piece q spans positions
-        # 2q-3 (its left, for q >= 2) and 2q-2 (its right, for q <= n-1)
-        pos_slot = {}
-        for idx, slot in enumerate(slots):
-            pos_slot[idx] = slot
-        for q in range(1, n + 1):
-            left, right = exprs[q - 1]
-            lslot = 1 if q == 1 else pos_slot[2 * (q - 1) - 1]
-            rslot = nslots if q == n else pos_slot[2 * (q - 1)]
-            if q > 1:
-                bound(left, lslot)
-            if q < n:
-                bound(right, rslot)
-            if not ok:
-                break
-            agent = order[q - 1]
-            coeffs, const = _piece_rows(edges, dens[agent], prefix[agent],
-                                        left, right, lslot, rslot, nvars)
-            # piece value == c
-            row = list(coeffs)
-            row[c_col] -= ONE
-            a_eq.append(row)
-            b_eq.append(-const)
-            # ordering left <= right
-            row = [ZERO] * nvars
-            for c, a in left[0].items():
-                row[c] += a
-            for c, a in right[0].items():
-                row[c] -= a
-            a_ub.append(row)
-            b_ub.append(right[1] - left[1])
-        if not ok:
+    for pairs in _slot_pairs(len(edges) - 1, n):
+        rows = _placement_rows(edges, exprs, pairs, nvars)
+        if rows is None:
             continue
-        res = simplex.solve_lp([ZERO] * nvars, a_ub, b_ub, a_eq, b_eq)
+        a_eq, b_eq = [], []
+        for (left, right), (a, b), agent in zip(exprs, pairs, order):
+            coeffs, const = _piece_value(edges, dens[agent], prefix[agent],
+                                         left, right, a, b, nvars)
+            coeffs[-1] = -ONE                    # piece value == c
+            a_eq.append(coeffs)
+            b_eq.append(-const)
+        res = simplex.solve_lp([ZERO] * nvars, *rows, a_eq, b_eq)
         if res.status != simplex.OPTIMAL:
             continue
-        xs = res.x[:n - 1]
-        cuts = (lo, *xs, hi)
-        pieces = []
-        good = True
-        for q in range(1, n + 1):
-            left = lo if q == 1 else cuts[q - 1] + s
-            right = hi if q == n else cuts[q]
-            if left > right:
-                good = False
-                break
-            pieces.append(Interval(left, right))
-        if good:
-            return tuple(pieces)
+        pieces = _pieces_at(res.x[:n - 1], s, lo, hi)
+        if pieces is not None:
+            return pieces
     raise InternalError("no exact equitable assignment found")
 
 
@@ -493,89 +417,33 @@ def _envy_free_exact(vs, s, lo, hi):
     feasibility LP whose constraints say everyone prefers her own piece."""
     n = len(vs)
     edges, dens, prefix = _merged_slots(vs, lo, hi)
-    nslots = len(edges) - 1
     exprs = _position_exprs(n, s, lo, hi)
     nvars = n - 1
-    for slots in _slot_assignments(nslots, 2 * (n - 1)):
-        rows_cache = {}
-        a_ub0, b_ub0, ok = [], [], True
-
-        def bound(expr, slot):
-            nonlocal ok
-            coeffs, const = expr
-            lo_b, hi_b = edges[slot - 1], edges[slot]
-            if not coeffs:
-                if not (lo_b <= const <= hi_b):
-                    ok = False
-                return
-            row = [ZERO] * nvars
-            for c, a in coeffs.items():
-                row[c] = -a
-            a_ub0.append(row)
-            b_ub0.append(const - lo_b)
-            row = [ZERO] * nvars
-            for c, a in coeffs.items():
-                row[c] = a
-            a_ub0.append(row)
-            b_ub0.append(hi_b - const)
-
-        slot_of = {}
-        for q in range(1, n + 1):
-            left, right = exprs[q - 1]
-            lslot = 1 if q == 1 else slots[2 * (q - 1) - 1]
-            rslot = nslots if q == n else slots[2 * (q - 1)]
-            slot_of[q] = (lslot, rslot)
-            if q > 1:
-                bound(left, lslot)
-            if q < n:
-                bound(right, rslot)
-            row = [ZERO] * nvars
-            for c, a in left[0].items():
-                row[c] += a
-            for c, a in right[0].items():
-                row[c] -= a
-            a_ub0.append(row)
-            b_ub0.append(right[1] - left[1])
-        if not ok:
+    for pairs in _slot_pairs(len(edges) - 1, n):
+        rows = _placement_rows(edges, exprs, pairs, nvars)
+        if rows is None:
             continue
-        for agent in range(n):
-            for q in range(1, n + 1):
-                left, right = exprs[q - 1]
-                lslot, rslot = slot_of[q]
-                rows_cache[(agent, q)] = _piece_rows(
-                    edges, dens[agent], prefix[agent], left, right,
-                    lslot, rslot, nvars)
+        # values[agent][q]: the agent's value of piece q as an affine form
+        values = [[_piece_value(edges, dens[agent], prefix[agent], left,
+                                right, a, b, nvars)
+                   for (left, right), (a, b) in zip(exprs, pairs)]
+                  for agent in range(n)]
         for assign in permutations(range(n)):
-            # assign[j] = agent receiving piece j+1
-            a_ub, b_ub = list(a_ub0), list(b_ub0)
-            for j in range(n):
-                agent = assign[j]
-                own = rows_cache[(agent, j + 1)]
-                for q in range(1, n + 1):
-                    if q == j + 1:
-                        continue
-                    other = rows_cache[(agent, q)]
-                    row = [oc - sc for oc, sc in zip(other[0], own[0])]
-                    a_ub.append(row)
-                    b_ub.append(own[1] - other[1])
+            # assign[j] = agent receiving piece j
+            a_ub, b_ub = list(rows[0]), list(rows[1])
+            for j, agent in enumerate(assign):
+                own_coeffs, own_const = values[agent][j]
+                for q, (coeffs, const) in enumerate(values[agent]):
+                    if q != j:               # other piece <= own piece
+                        a_ub.append([oc - sc for oc, sc
+                                     in zip(coeffs, own_coeffs)])
+                        b_ub.append(own_const - const)
             res = simplex.solve_lp([ZERO] * nvars, a_ub, b_ub)
             if res.status != simplex.OPTIMAL:
                 continue
-            xs = res.x[:nvars]
-            cuts = (lo, *xs, hi)
-            pieces = []
-            good = True
-            for q in range(1, n + 1):
-                left = lo if q == 1 else cuts[q - 1] + s
-                right = hi if q == n else cuts[q]
-                if left > right:
-                    good = False
-                    break
-                pieces.append(Interval(left, right))
-            if not good:
-                continue
-            assignment = {assign[j]: j for j in range(n)}
-            return tuple(pieces), assignment
+            pieces = _pieces_at(res.x, s, lo, hi)
+            if pieces is not None:
+                return pieces, {agent: j for j, agent in enumerate(assign)}
     raise InternalError("no exact envy-free assignment found")
 
 
@@ -607,6 +475,8 @@ def fairness_check(alloc: Allocation,
     for i in range(n):
         if topology is Topology.CAKE:
             bench = exact_mms(vs[i], n, s)[0]
+        elif (n + 1) * s >= 1:
+            bench = ZERO     # n+1 separated pieces do not fit: share 0
         else:
             bench = pie_exact_mms(vs[i], n + 1, s)
         dominance.append(own[i] >= bench)

@@ -209,3 +209,22 @@ def test_table_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "mms: 2/5" in out
+
+
+def test_check_pie_when_one_more_piece_does_not_fit(tmp_path, capsys):
+    # 3 separators of length 2/5 overfill the circle, so the 1-out-of-3
+    # share is 0 and every agent's piece dominates it
+    inst = {"topology": "pie", "s": "2/5",
+            "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]}] * 2}
+    alloc = {"topology": "pie", "s": "2/5",
+             "allocation": [{"agent": 0, "left": "0", "right": "1/20"},
+                            {"agent": 1, "left": "9/20", "right": "1/2"}]}
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(json.dumps(inst))
+    alloc_path.write_text(json.dumps(alloc))
+    code, report = run_cli(capsys, "check", "--instance", str(inst_path),
+                           "--allocation", str(alloc_path))
+    assert code == 0
+    assert report["separation_ok"] is True
+    assert report["envy_max"] == "0"
+    assert report["mms_dominance"] == [True, True]

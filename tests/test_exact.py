@@ -56,26 +56,6 @@ class TestSelectIntervalList:
             got = select_interval_list(UNIFORM, n, F(1, 2 * n))
             assert got.entries == tuple((1, 1) for _ in range(n))
 
-    def test_binary_search_variant_agrees(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            v = random_valuation(rng, max_segments=5)
-            n = rng.randint(2, 3)
-            s = random_separation(rng, F(1, n - 1))
-            if exact_mms(v, n, s)[0] == 0:
-                continue
-            linear = select_interval_list(v, n, s, binary_search=False)
-            stats = {}
-            binary = select_interval_list(v, n, s, binary_search=True,
-                                          stats=stats)
-            lp_lin = solve_lp_exact(LPInstance(v, s, F(1), linear))
-            lp_bin = solve_lp_exact(LPInstance(v, s, F(1), binary))
-            assert lp_lin.objective == lp_bin.objective
-            # logarithmically many LP calls per endpoint scan
-            d = len(v.densities)
-            bound = 2 * n * (d.bit_length() + 2)
-            assert stats["lp_calls"] <= bound
-
 
 class TestExactMms:
     def test_worked_example(self):

@@ -6,7 +6,8 @@ import pytest
 from sepfair.cake import Allocation
 from sepfair.errors import InputError
 from sepfair.exact_mms import exact_mms, pie_exact_mms
-from sepfair.fairness import (FairnessReport, envy_free_sperner,
+from sepfair.fairness import (FairnessReport, _envy_free_exact,
+                              _equitable_exact, envy_free_sperner,
                               equitable_bisection, fairness_check,
                               pie_envy_free, pie_equitable)
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
@@ -103,6 +104,53 @@ class TestEnvyFree:
             for i, v in enumerate(vs):
                 floor = exact_mms(v, n, s)[0]
                 assert v.value(alloc.assignment[i]) >= floor - EF_EPS
+
+
+def exact_fallback_instances(seed, pie, count=6):
+    """Small random instances with worthless segments, on [0, 1] or on the
+    pie domain [s, 1] left after one separator at [0, s]."""
+    rng = random.Random(seed)
+    topology = Topology.PIE if pie else Topology.CAKE
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        s = random_separation(rng, F(1, n) if pie else F(1, n - 1))
+        vs = [random_valuation(rng, topology, max_segments=3, zero_prob=0.3)
+              for _ in range(n)]
+        yield rng, vs, s, s if pie else F(0)
+
+
+def assert_exact_gaps(pieces, s, lo, hi):
+    """Pieces in order cover [lo, hi] with gaps of exactly s."""
+    assert pieces[0].left == lo and pieces[-1].right == hi
+    assert all(p.left <= p.right for p in pieces)
+    assert all(b.left - a.right == s for a, b in zip(pieces, pieces[1:]))
+
+
+def worth(v, piece):
+    return v.value_between(piece.left, piece.right)
+
+
+class TestExactFallbacks:
+    @pytest.mark.parametrize("pie", [False, True])
+    def test_equitable_exact(self, pie):
+        for rng, vs, s, lo in exact_fallback_instances(41 + pie, pie):
+            order = list(range(len(vs)))
+            rng.shuffle(order)
+            pieces = _equitable_exact(vs, s, order, lo, F(1))
+            assert_exact_gaps(pieces, s, lo, F(1))
+            values = {worth(vs[agent], piece)
+                      for agent, piece in zip(order, pieces)}
+            assert len(values) == 1
+
+    @pytest.mark.parametrize("pie", [False, True])
+    def test_envy_free_exact(self, pie):
+        for _, vs, s, lo in exact_fallback_instances(43 + pie, pie):
+            pieces, assignment = _envy_free_exact(vs, s, lo, F(1))
+            assert_exact_gaps(pieces, s, lo, F(1))
+            assert sorted(assignment.values()) == list(range(len(vs)))
+            for agent, v in enumerate(vs):
+                own = worth(v, pieces[assignment[agent]])
+                assert all(worth(v, piece) <= own for piece in pieces)
 
 
 def test_vertex_labels_point_at_nonempty_pieces():

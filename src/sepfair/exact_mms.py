@@ -1,21 +1,24 @@
 """Exact best-guaranteed-share computation for explicit valuations.
 
 For a piecewise-constant valuation given explicitly, the best min-value
-over partitions into n pieces separated by exactly s is the optimum of a
-small linear program once we know, for every piece endpoint, which density
-segment it lands in.  ``select_interval_list`` finds one valid assignment
-of endpoints to segments by scanning candidate segments left to right,
-comparing prefix-LP optima against what the remaining suffix can still
-guarantee.  ``brute_mms_interval_enum`` is the independent oracle: it
-enumerates *every* monotone assignment and takes the maximum, so the two
-paths check each other.
+over partitions into n pieces separated by exactly s is found by one
+parametric greedy, ``_max_share``.  It walks the threshold c upward from 0.
+Between two consecutive events (a piece start or cut crossing a
+breakpoint) every start and cut of the greedy is affine in c, and so is the
+value left for the last piece; the share is where that value first meets c
+or where the greedy breaks.  ``exact_mms`` runs it on the cake and
+``pie_exact_mms`` runs it on every opening of the pie at (or s past) a
+breakpoint.  Each cake result is self-certified by the explicit greedy
+decisions: at-least holds and strictly-greater fails.  No LP is solved on
+this path.
 
-That linear program comes from one slot-pinned placement model
-(``_position_exprs``, ``_slot_pairs``, ``_placement_rows``, ``_piece_value``
-and ``_maxmin_lp``), which has four users: the cake share
-(``solve_lp_exact``), the pie share (``pie_exact_mms``, one LP per rotation
-and slot assignment), and the exact equitable and envy-free fallbacks in
-``fairness``.
+The slot-pinned placement model (``_position_exprs``, ``_slot_pairs``,
+``_placement_rows``, ``_piece_value`` and ``_maxmin_lp``) turns a segment
+assignment of every endpoint into one small LP.  It serves the exact
+equitable and envy-free fallbacks in ``fairness``, the enumeration oracle
+``brute_mms_interval_enum`` (every monotone assignment, maximum taken), and
+the retired interval-selection path (``select_interval_list`` with
+``solve_lp_exact``), which is kept for cross-checks only.
 
 All arithmetic is exact; every LP solution is verified against its
 constraints with zero residual before being trusted.
@@ -23,6 +26,7 @@ constraints with zero residual before being trusted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -258,7 +262,7 @@ def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
     return target > 0
 
 
-# -- interval selection (left-to-right endpoint placement) ---------------------
+# -- interval selection: the LP path exact_mms used to take, kept as a check ---
 
 
 def _first_failing(candidates: Sequence[int], pred) -> Optional[int]:
@@ -340,11 +344,68 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int,
     return IntervalList(tuple(entries))
 
 
+# -- the parametric greedy engine ----------------------------------------------
+
+
+def _max_share(bps, dens, prefix, lo, hi, n, s) -> Fraction:
+    """Largest c such that [lo, hi] splits into n pieces worth at least c
+    each with exact-s gaps, for the step density given by breakpoints,
+    densities and prefix values (the arrays may extend past [lo, hi]);
+    assumes (n-1)*s <= hi - lo.
+
+    Walks c upward from 0.  At each c the right-limit greedy (each cut past
+    the zero run it lands in) fixes the slot of every start and cut.  Until
+    the next c at which one of them reaches the end of its slot, each is
+    affine in c, a + b*c, and so is the value R(c) left for the last piece.
+    The walk stops at c when the greedy breaks or R(c) <= c, returns the
+    root of R(c) = c when it comes first, and otherwise moves c to that
+    slot end.
+    """
+    last = len(dens) - 1
+    j = min(bisect_right(bps, hi) - 1, last)
+    top = prefix[j] + dens[j] * (hi - bps[j])
+    c = ZERO
+    while True:
+        a, b = lo, ZERO         # the current start is a + b*c
+        events = []             # the c at which a start or cut leaves its slot
+        for q in range(n):
+            x = a + b * c
+            if x > hi:
+                return c
+            j = min(bisect_right(bps, x) - 1, last)
+            if b and x < bps[j + 1]:
+                events.append((bps[j + 1] - a) / b)
+            # the prefix value at the start, base + slope*c
+            base = prefix[j] + dens[j] * (a - bps[j])
+            slope = dens[j] * b
+            if q == n - 1:
+                break
+            k = bisect_right(prefix, base + (slope + 1) * c) - 1
+            if k > last:
+                return c
+            a = bps[k] + (base - prefix[k]) / dens[k]
+            b = (slope + 1) / dens[k]
+            events.append((bps[k + 1] - a) / b)
+            a += s
+        r0 = top - base         # R(c) = r0 - slope*c
+        if r0 - slope * c <= c:
+            return c
+        root = r0 / (1 + slope)
+        c = min(events, default=root)
+        if root <= c:
+            return root
+
+
 def exact_mms(v: PiecewiseConstantValuation, n: int,
               s) -> Tuple[Fraction, Partition]:
     """Exact best guaranteed share over n pieces separated by s, with an
     optimal partition achieving it (the optimum is attained, not just
-    approached)."""
+    approached).
+
+    The share comes from the parametric greedy ``_max_share``; the
+    partition is the leftmost greedy at that share, whose first n-1 pieces
+    are worth exactly the share.
+    """
     if v.topology is not Topology.CAKE:
         raise InputError("exact_mms runs on cakes")
     if n == 1:
@@ -355,23 +416,22 @@ def exact_mms(v: PiecewiseConstantValuation, n: int,
     s = _check_params(n, s)
     if not explicit_decide_greater(v, n, s, ZERO, ZERO, ONE, total=ONE):
         return ZERO, _trivial_partition(n, s, ONE)
-    entries = select_interval_list(v, n, s)
-    sol = solve_lp_exact(LPInstance(v, s, ONE, entries))
-    if sol.status != simplex.OPTIMAL:
-        raise InternalError("selected interval list gave an infeasible LP")
-    cuts = sol.cut_points
-    pieces = tuple(Interval(cuts[q - 1] + s, cuts[q])
-                   for q in range(1, n + 1))
-    for piece in pieces:
-        if v.value(piece) < sol.objective:
-            raise InternalError("optimal partition fails its own guarantee")
+    share = _max_share(v.breakpoints, v.densities, v._prefix, ZERO, ONE, n, s)
     # Self-certification: the greedy at-least/strictly-greater decisions are
     # correct on their own, and together they pin the exact value.
-    if not explicit_decide_atleast(v, n, s, sol.objective, ZERO, ONE):
+    if not explicit_decide_atleast(v, n, s, share, ZERO, ONE):
         raise InternalError("computed share is above the true optimum")
-    if explicit_decide_greater(v, n, s, sol.objective, ZERO, ONE, total=ONE):
+    if explicit_decide_greater(v, n, s, share, ZERO, ONE, total=ONE):
         raise InternalError("computed share is below the true optimum")
-    return sol.objective, Partition(s, pieces)
+    # The partition is the leftmost greedy that the at-least decision ran.
+    pieces = []
+    pos = ZERO
+    for _ in range(n - 1):
+        y = cut_leftmost(v, pos, share, end=ONE)
+        pieces.append(Interval(pos, y))
+        pos = y + s
+    pieces.append(Interval(pos, ONE))
+    return share, Partition(s, tuple(pieces))
 
 
 # -- independent oracle ---------------------------------------------------------
@@ -452,16 +512,17 @@ def exact_mms_allocation(vs: Sequence[PiecewiseConstantValuation],
 # -- exact pie benchmark ---------------------------------------------------------
 
 
-def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s,
-                  max_lists_per_rotation: int = 100_000) -> Fraction:
+def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
     """Exact 1-out-of-k guaranteed share on a pie, explicit valuations only.
 
-    A pie partition into k pieces with k exact-s separators is determined
-    by the first piece's start z and the k cut points; unrolling the
-    circle at z makes every piece value linear once each endpoint's
-    density segment is fixed, so we maximize over the segment containing z
-    and all monotone segment assignments on the unrolled axis.  This is an
-    enumeration-grade benchmark, not a protocol.
+    A pie partition into k pieces with k exact-s separators is the cake
+    partition of the arc [z, z+1-s] opened at the first piece's start z.
+    Some optimal partition has a piece start on a breakpoint b, or a piece
+    end on one (then the next piece starts at b+s): with every endpoint's
+    segment fixed the share is a linear program in (z, cuts, c), and at an
+    optimal vertex with c > 0 no piece is empty, so some endpoint is pinned
+    to a breakpoint.  The share is therefore the largest ``_max_share`` over
+    the openings z in {b, b+s}, run on a doubled view of the circle.
     """
     if v.topology is not Topology.PIE:
         raise InputError("pie_exact_mms runs on pies")
@@ -476,61 +537,10 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s,
         from .valuations import minimum_window_value
         return ONE - minimum_window_value(v, s)
 
-    p, g = v.breakpoints, v.densities
-    d = len(g)
-    best = ZERO
-    free = 2 * k - 1
-    # pieces [z, x_1], [x_1+s, x_2], .., [x_{k-1}+s, z+1-s] over the columns
-    # (z, x_1..x_{k-1}, c)
-    z = {0: ONE}
-    exprs = [((z, ZERO) if q == 1 else ({q - 1: ONE}, s),
-              (z, ONE - s) if q == k else ({q: ONE}, ZERO))
-             for q in range(1, k + 1)]
-    for t in range(1, d + 1):
-        # Unrolled axis [p_{t-1}, 1 + p_t]: original segments from t on,
-        # wrapped around, with segment t appearing at both ends.
-        bps = [p[t - 1]] + [p[j] for j in range(t, d + 1)] \
-            + [ONE + p[j] for j in range(1, t + 1)]
-        dens = [g[(t - 1 + j) % d] for j in range(d + 1)]
-        nseg = len(dens)
-        prefix = [ZERO]
-        for (a, b), gg in zip(zip(bps, bps[1:]), dens):
-            prefix.append(prefix[-1] + gg * (b - a))
-
-        count = 1
-        for i in range(free):
-            count = count * (nseg + i) // (i + 1)
-        if count > max_lists_per_rotation:
-            raise InputError("pie benchmark instance too large")
-
-        for mid in combinations_with_replacement(range(1, nseg + 1), free):
-            seq = (1, *mid)      # the first piece starts in slot 1
-            pairs = tuple(zip(seq[::2], seq[1::2]))
-            if not _pie_forward_feasible(k, s, bps, pairs):
-                continue
-            res = _maxmin_lp(bps, dens, prefix, exprs, pairs, k + 1)
-            if res.status == simplex.OPTIMAL and res.objective > best:
-                best = res.objective
-    return best
-
-
-def _pie_forward_feasible(k, s, bps, pairs) -> bool:
-    """Necessary condition for one unrolled slot assignment, ignoring the
-    correlation between z and the wrap endpoint (sound to skip on False)."""
-    zlo, zhi = bps[0], bps[1]
-    lo, hi = zlo, zhi
-    for q, (a_slot, b_slot) in enumerate(pairs, start=1):
-        gap = ZERO if q == 1 else s
-        lo = max(lo + gap, bps[a_slot - 1])
-        hi = min(hi + gap, bps[a_slot])
-        if lo > hi:
-            return False
-        lo2 = max(lo, bps[b_slot - 1])
-        hi2 = bps[b_slot]
-        if q == k:
-            lo2 = max(lo2, zlo + ONE - s)
-            hi2 = min(hi2, zhi + ONE - s)
-        if lo2 > hi2:
-            return False
-        lo, hi = lo2, hi2
-    return True
+    p = v.breakpoints
+    bps = p + tuple(ONE + b for b in p[1:])
+    dens = v.densities * 2
+    prefix = v._prefix + tuple(ONE + x for x in v._prefix[1:])
+    openings = sorted({z % ONE for b in p for z in (b, b + s)})
+    return max(_max_share(bps, dens, prefix, z, z + ONE - s, k, s)
+               for z in openings)

@@ -473,10 +473,11 @@ def fairness_check(alloc: Allocation,
     sep_ok = pieces_separated(ordered, s, topology)
     dominance = []
     for i in range(n):
+        # share 0 when the pieces do not fit: n on a cake, n+1 on a pie
         if topology is Topology.CAKE:
-            bench = exact_mms(vs[i], n, s)[0]
+            bench = ZERO if (n - 1) * s >= 1 else exact_mms(vs[i], n, s)[0]
         elif (n + 1) * s >= 1:
-            bench = ZERO     # n+1 separated pieces do not fit: share 0
+            bench = ZERO
         else:
             bench = pie_exact_mms(vs[i], n + 1, s)
         dominance.append(own[i] >= bench)

@@ -1,10 +1,13 @@
 """Shared test utilities: instance generators and independent oracles."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import ceil, lcm
 
 import numpy as np
 
+from sepfair import simplex
+from sepfair.exact_mms import _maxmin_lp
 from sepfair.valuations import (ONE, ZERO, PiecewiseConstantValuation,
                                 Topology, pieces_separated)
 
@@ -110,6 +113,74 @@ def pie_grid_oracle(v, k, s, grid=2000):
         else:
             hi = mid
     return Fraction(lo, den)
+
+
+def pie_enum_oracle(v, k, s, max_lists_per_rotation=100_000):
+    """Exact 1-out-of-k share on a pie (k >= 2, k*s < 1) by enumeration.
+
+    Unroll the circle at the start of every segment t; with every endpoint
+    pinned to a segment of the unrolled axis each piece value is linear in
+    (z, x_1..x_{k-1}), so one LP per monotone slot assignment gives the best
+    partition with those slots, and the maximum over all of them is the
+    share.  Exponential in k; for small instances only.
+    """
+    p, g = v.breakpoints, v.densities
+    d = len(g)
+    best = ZERO
+    free = 2 * k - 1
+    # pieces [z, x_1], [x_1+s, x_2], .., [x_{k-1}+s, z+1-s] over the columns
+    # (z, x_1..x_{k-1}, c)
+    z = {0: ONE}
+    exprs = [((z, ZERO) if q == 1 else ({q - 1: ONE}, s),
+              (z, ONE - s) if q == k else ({q: ONE}, ZERO))
+             for q in range(1, k + 1)]
+    for t in range(1, d + 1):
+        # Unrolled axis [p_{t-1}, 1 + p_t]: original segments from t on,
+        # wrapped around, with segment t appearing at both ends.
+        bps = [p[t - 1]] + [p[j] for j in range(t, d + 1)] \
+            + [ONE + p[j] for j in range(1, t + 1)]
+        dens = [g[(t - 1 + j) % d] for j in range(d + 1)]
+        nseg = len(dens)
+        prefix = [ZERO]
+        for (a, b), gg in zip(zip(bps, bps[1:]), dens):
+            prefix.append(prefix[-1] + gg * (b - a))
+
+        count = 1
+        for i in range(free):
+            count = count * (nseg + i) // (i + 1)
+        assert count <= max_lists_per_rotation, "pie instance too large"
+
+        for mid in combinations_with_replacement(range(1, nseg + 1), free):
+            seq = (1, *mid)      # the first piece starts in slot 1
+            pairs = tuple(zip(seq[::2], seq[1::2]))
+            if not _pie_forward_feasible(k, s, bps, pairs):
+                continue
+            res = _maxmin_lp(bps, dens, prefix, exprs, pairs, k + 1)
+            if res.status == simplex.OPTIMAL and res.objective > best:
+                best = res.objective
+    return best
+
+
+def _pie_forward_feasible(k, s, bps, pairs):
+    """Necessary condition for one unrolled slot assignment, ignoring the
+    correlation between z and the wrap endpoint (sound to skip on False)."""
+    zlo, zhi = bps[0], bps[1]
+    lo, hi = zlo, zhi
+    for q, (a_slot, b_slot) in enumerate(pairs, start=1):
+        gap = ZERO if q == 1 else s
+        lo = max(lo + gap, bps[a_slot - 1])
+        hi = min(hi + gap, bps[a_slot])
+        if lo > hi:
+            return False
+        lo2 = max(lo, bps[b_slot - 1])
+        hi2 = bps[b_slot]
+        if q == k:
+            lo2 = max(lo2, zlo + ONE - s)
+            hi2 = min(hi2, zhi + ONE - s)
+        if lo2 > hi2:
+            return False
+        lo, hi = lo2, hi2
+    return True
 
 
 def sliding_window_min(v, s):

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 from fractions import Fraction as F
 
 from sepfair.cli import main
-from sepfair.exact_mms import exact_mms
+from sepfair.exact_mms import exact_mms, pie_exact_mms
+from sepfair.valuations import Topology
 
-from helpers import THIRDS
+from helpers import THIRDS, random_separation, random_valuation
 
 HERE = os.path.dirname(__file__)
 THIRDS_PATH = os.path.join(HERE, os.pardir, "instances", "thirds.json")
@@ -228,3 +230,50 @@ def test_check_pie_when_one_more_piece_does_not_fit(tmp_path, capsys):
     assert report["separation_ok"] is True
     assert report["envy_max"] == "0"
     assert report["mms_dominance"] == [True, True]
+
+
+def run_check(tmp_path, capsys, inst, alloc):
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(json.dumps(inst))
+    alloc_path.write_text(json.dumps(alloc))
+    return run_cli(capsys, "check", "--instance", str(inst_path),
+                   "--allocation", str(alloc_path))
+
+
+def test_check_cake_when_the_pieces_only_just_fit(tmp_path, capsys):
+    # with s = 1/2, three separated pieces fit only as single points, so
+    # the 3-piece share is 0 and every agent's piece dominates it
+    inst = {"topology": "cake", "s": "1/2",
+            "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]}] * 3}
+    alloc = {"topology": "cake", "s": "1/2",
+             "allocation": [{"agent": i, "left": x, "right": x}
+                            for i, x in enumerate(("0", "1/2", "1"))]}
+    code, report = run_check(tmp_path, capsys, inst, alloc)
+    assert code == 0
+    assert report["separation_ok"] is True
+    assert report["envy_max"] == "0"
+    assert report["mms_dominance"] == [True, True, True]
+
+
+def test_check_three_agent_pie(tmp_path, capsys):
+    # the first 3-agent audit of random.Random(550): one 1-out-of-4 pie
+    # share per agent
+    rng = random.Random(550)
+    vs = [random_valuation(rng, Topology.PIE, max_segments=3)
+          for _ in range(3)]
+    s = random_separation(rng, F(1, 4))
+    inst = {"topology": "pie", "s": str(s),
+            "agents": [{"breakpoints": [str(p) for p in v.breakpoints],
+                        "densities": [str(g) for g in v.densities]}
+                       for v in vs]}
+    w = (1 - 3 * s) / 3
+    lefts = [i * (w + s) for i in range(3)]
+    alloc = {"topology": "pie", "s": str(s),
+             "allocation": [{"agent": i, "left": str(x), "right": str(x + w)}
+                            for i, x in enumerate(lefts)]}
+    code, report = run_check(tmp_path, capsys, inst, alloc)
+    assert code == 0
+    assert report["separation_ok"] is True
+    assert report["mms_dominance"] == [
+        v.value_between(x, x + w) >= pie_exact_mms(v, 4, s)
+        for v, x in zip(vs, lefts)]

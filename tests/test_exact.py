@@ -4,17 +4,34 @@ from fractions import Fraction as F
 import pytest
 
 from sepfair import simplex
-from sepfair.cake import Relation, decide
+from sepfair.cake import Allocation, Relation, decide
 from sepfair.errors import InputError
-from sepfair.exact_mms import (IntervalList, LPInstance,
+from sepfair.exact_mms import (IntervalList, LPInstance, _max_share,
                                brute_mms_interval_enum, exact_mms,
-                               exact_mms_allocation, pie_exact_mms,
-                               select_interval_list, solve_lp_exact)
+                               exact_mms_allocation, explicit_decide_greater,
+                               pie_exact_mms, select_interval_list,
+                               solve_lp_exact)
+from sepfair.fairness import fairness_check
 from sepfair.sessions import QuerySession
 from sepfair.valuations import Interval, PiecewiseConstantValuation, Topology
 
-from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, random_separation,
-                     random_valuation, verify_allocation, verify_partition)
+from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, pie_enum_oracle,
+                     pie_grid_oracle, random_separation, random_valuation,
+                     verify_allocation, verify_partition)
+
+
+def cake_engine(v, n, s):
+    return _max_share(v.breakpoints, v.densities, v._prefix, F(0), F(1), n,
+                      s)
+
+
+def assert_optimal_witness(v, n, s):
+    """exact_mms returns a partition with exact-s gaps from 0 to 1 whose
+    pieces are all worth at least the share; returns the share."""
+    mms, part = exact_mms(v, n, s)
+    assert len(part.pieces) == n
+    verify_partition(v, part, mms, exact=True)
+    return mms
 
 
 class TestLP:
@@ -113,6 +130,123 @@ class TestExactMms:
     def test_pie_rejected(self):
         with pytest.raises(InputError):
             exact_mms(UNIFORM_PIE, 2, F(1, 5))
+
+
+class TestShareEngine:
+    """The parametric greedy against independent oracles."""
+
+    def test_matches_enumeration_oracle_on_sparse_cakes(self):
+        rng = random.Random(601)
+        for _ in range(40):
+            n = rng.choice([2, 3])
+            v = random_valuation(rng, max_segments=5, zero_prob=0.4)
+            s = random_separation(rng, F(1, n - 1))
+            share = cake_engine(v, n, s)
+            assert share == brute_mms_interval_enum(v, n, s)
+            assert assert_optimal_witness(v, n, s) == share
+
+    def test_matches_retired_lp_path(self):
+        rng = random.Random(602)
+        for _ in range(8):
+            n = rng.randint(4, 6)
+            v = random_valuation(rng, max_segments=8, zero_prob=0.3)
+            s = random_separation(rng, F(1, n - 1))
+            share = cake_engine(v, n, s)
+            if not explicit_decide_greater(v, n, s, F(0), F(0), F(1)):
+                assert share == 0
+                continue
+            sol = solve_lp_exact(
+                LPInstance(v, s, F(1), select_interval_list(v, n, s)))
+            assert share == sol.objective
+            assert assert_optimal_witness(v, n, s) == share
+
+    def test_pie_matches_enumeration_oracle(self):
+        rng = random.Random(603)
+        for k, d, count in ((2, 4, 12), (3, 3, 4), (4, 2, 2)):
+            for _ in range(count):
+                v = random_valuation(rng, Topology.PIE, max_segments=d,
+                                     zero_prob=0.3)
+                s = random_separation(rng, F(1, k))
+                assert pie_exact_mms(v, k, s) == pie_enum_oracle(v, k, s)
+
+    def test_large_cakes(self):
+        # n = 16 with 32 to 40 segments is far past what the enumerations
+        # can reach; exact_mms certifies itself, and the query-level
+        # decisions agree
+        rng = random.Random(604)
+        n = 16
+        for _ in range(3):
+            v = random_valuation(rng, max_segments=40, zero_prob=0.3)
+            while len(v.densities) < 32:
+                v = random_valuation(rng, max_segments=40, zero_prob=0.3)
+            s = random_separation(rng, F(1, 15)) / 4
+            mms = assert_optimal_witness(v, n, s)
+            assert mms > 0
+            assert decide(QuerySession(v), n, s, mms, Relation.AT_LEAST)[0]
+            assert not decide(QuerySession(v), n, s, mms,
+                              Relation.GREATER)[0]
+
+
+class TestPieAuditRegression:
+    """The pie shares of the 3-agent audits of random.Random(550), k = 4,
+    which the slot enumeration took 3 to 16 s each to compute."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(550)
+        for _ in range(3):
+            vs = [random_valuation(rng, Topology.PIE, max_segments=3)
+                  for _ in range(3)]
+            yield vs, random_separation(rng, F(1, 4))
+
+    def test_between_grid_oracle_and_enumeration(self):
+        for i, (vs, s) in enumerate(self.instances()):
+            for v in vs:
+                share = pie_exact_mms(v, 4, s)
+                grid = pie_grid_oracle(v, 4, s)
+                assert grid <= share
+                assert share - grid <= 2 * max(v.densities) / 2000 + s / 2000
+            if i == 0:
+                assert pie_exact_mms(vs[0], 4, s) == pie_enum_oracle(
+                    vs[0], 4, s)
+
+
+class TestNoLP:
+    """Exact shares and audits never reach the simplex."""
+
+    @pytest.fixture(autouse=True)
+    def no_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+        monkeypatch.setattr(simplex, "solve_lp", refuse)
+
+    def test_cake_share_and_audit(self):
+        rng = random.Random(605)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            vs = [random_valuation(rng, max_segments=6) for _ in range(n)]
+            s = random_separation(rng, F(1, n - 1))
+            shares = [exact_mms(v, n, s)[0] for v in vs]
+            alloc = exact_mms_allocation(vs, s)
+            rep = fairness_check(alloc, vs, s, Topology.CAKE)
+            assert rep.mms_dominance == (True,) * n
+            assert all(vs[i].value(alloc.assignment[i]) >= shares[i]
+                       for i in range(n))
+
+    def test_pie_share_and_audit(self):
+        rng = random.Random(606)
+        for _ in range(6):
+            vs = [random_valuation(rng, Topology.PIE, max_segments=4)
+                  for _ in range(3)]
+            s = random_separation(rng, F(1, 4))
+            w = (1 - 3 * s) / 3
+            alloc = Allocation(s, {i: Interval(i * (w + s), i * (w + s) + w)
+                                   for i in range(3)}, Topology.PIE)
+            rep = fairness_check(alloc, vs, s, Topology.PIE)
+            assert rep.separation_ok
+            assert rep.mms_dominance == tuple(
+                vs[i].value(alloc.assignment[i]) >= pie_exact_mms(vs[i], 4, s)
+                for i in range(3))
 
 
 class TestBruteOracle:

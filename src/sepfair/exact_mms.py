@@ -1,24 +1,26 @@
 """Exact best-guaranteed-share computation for explicit valuations.
 
-For a piecewise-constant valuation given explicitly, the best min-value
-over partitions into n pieces separated by exactly s is found by one
+The best min-value over partitions of a stretch into pieces separated by
+exactly s, each piece valued by its own step density, is found by one
 parametric greedy, ``_max_share``.  It walks the threshold c upward from 0.
 Between two consecutive events (a piece start or cut crossing a
 breakpoint) every start and cut of the greedy is affine in c, and so is the
 value left for the last piece; the share is where that value first meets c
-or where the greedy breaks.  ``exact_mms`` runs it on the cake and
-``pie_exact_mms`` runs it on every opening of the pie at (or s past) a
-breakpoint.  Each cake result is self-certified by the explicit greedy
-decisions: at-least holds and strictly-greater fails.  No LP is solved on
-this path.
+or where the greedy breaks.  ``exact_mms`` runs it with n copies of one
+valuation on the cake, ``pie_exact_mms`` on every opening of the pie at (or
+s past) a breakpoint, and ``fairness.equitable_bisection`` with the agents'
+valuations in their order.  ``_pieces_worth`` turns the value into pieces
+worth exactly that much each, which certifies at-least; each cake share
+is also checked by the explicit strictly-greater decision, which must
+fail.  No LP is solved on these paths.
 
 The slot-pinned placement model (``_position_exprs``, ``_slot_pairs``,
 ``_placement_rows``, ``_piece_value`` and ``_maxmin_lp``) turns a segment
 assignment of every endpoint into one small LP.  It serves the exact
-equitable and envy-free fallbacks in ``fairness``, the enumeration oracle
-``brute_mms_interval_enum`` (every monotone assignment, maximum taken), and
-the retired interval-selection path (``select_interval_list`` with
-``solve_lp_exact``), which is kept for cross-checks only.
+equitable and envy-free enumerations in ``fairness``, the enumeration
+oracle ``brute_mms_interval_enum`` (every monotone assignment, maximum
+taken), and the retired interval-selection path (``select_interval_list``
+with ``solve_lp_exact``), which is kept for cross-checks only.
 
 All arithmetic is exact; every LP solution is verified against its
 constraints with zero residual before being trusted.
@@ -39,7 +41,7 @@ from .errors import InputError, InternalError, ProtocolError
 from .rationals import frac
 from .sessions import QuerySession
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
-                         Topology, cut_leftmost)
+                         Topology, cut_leftmost, minimum_window_value)
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,7 @@ def explicit_decide_atleast(v: PiecewiseConstantValuation, parts: int,
 
 def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
                             s: Fraction, r: Fraction, lo: Fraction,
-                            hi: Fraction,
-                            total: Optional[Fraction] = None) -> bool:
+                            hi: Fraction) -> bool:
     """Can [lo, hi] be split into ``parts`` s-separated pieces worth > r
     each?  Builds pieces of value exactly r from the right (as leftmost
     cuts on prefix targets) and asks whether positive value is left over."""
@@ -244,9 +245,7 @@ def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
         return False
     if r < 0:
         return True
-    if total is None:
-        total = v.value_between(lo, hi)
-    target = total - r
+    target = v.value_between(lo, hi) - r
     if target < 0:
         return False
     x = cut_leftmost(v, lo, target, end=hi)
@@ -347,11 +346,12 @@ def select_interval_list(v: PiecewiseConstantValuation, n: int,
 # -- the parametric greedy engine ----------------------------------------------
 
 
-def _max_share(bps, dens, prefix, lo, hi, n, s) -> Fraction:
-    """Largest c such that [lo, hi] splits into n pieces worth at least c
-    each with exact-s gaps, for the step density given by breakpoints,
-    densities and prefix values (the arrays may extend past [lo, hi]);
-    assumes (n-1)*s <= hi - lo.
+def _max_share(views, lo, hi, s) -> Fraction:
+    """Largest c such that [lo, hi] splits into pieces with exact-s gaps,
+    the q-th worth at least c to the q-th step density.  ``views`` holds
+    one (breakpoints, densities, prefix values) triple per piece, left to
+    right (the arrays may extend past [lo, hi]); assumes
+    (len(views)-1)*s <= hi - lo.
 
     Walks c upward from 0.  At each c the right-limit greedy (each cut past
     the zero run it lands in) fixes the slot of every start and cut.  Until
@@ -361,14 +361,16 @@ def _max_share(bps, dens, prefix, lo, hi, n, s) -> Fraction:
     root of R(c) = c when it comes first, and otherwise moves c to that
     slot end.
     """
-    last = len(dens) - 1
-    j = min(bisect_right(bps, hi) - 1, last)
+    n = len(views)
+    bps, dens, prefix = views[-1]
+    j = min(bisect_right(bps, hi) - 1, len(dens) - 1)
     top = prefix[j] + dens[j] * (hi - bps[j])
     c = ZERO
     while True:
         a, b = lo, ZERO         # the current start is a + b*c
         events = []             # the c at which a start or cut leaves its slot
-        for q in range(n):
+        for q, (bps, dens, prefix) in enumerate(views):
+            last = len(dens) - 1
             x = a + b * c
             if x > hi:
                 return c
@@ -396,42 +398,62 @@ def _max_share(bps, dens, prefix, lo, hi, n, s) -> Fraction:
             return root
 
 
+def _pieces_worth(vs, c, lo, hi, s) -> Tuple[Interval, ...]:
+    """Pieces from lo to hi with exact-s gaps, the q-th worth exactly c to
+    vs[q], for the c that ``_max_share`` returns on these valuations.
+
+    The leftmost greedy at c gives every piece its earliest start A_q and
+    its cut from there.  Walking right to left from hi, each piece starts
+    at the leftmost point from which it is worth exactly c, but not before
+    A_q; that is A_q itself when the piece ends at that cut.  The starts
+    that such pieces can reach form an interval, so at the largest c the
+    first start lands on lo; anything else raises ``InternalError``.
+    """
+    starts, cuts = [lo], []
+    for v in vs:
+        y = None if starts[-1] > hi else cut_leftmost(v, starts[-1], c, end=hi)
+        if y is None:
+            raise InternalError(f"no pieces worth {c} fit")
+        cuts.append(y)
+        starts.append(y + s)
+    pieces, end = [], hi
+    for v, a, y in reversed(list(zip(vs, starts, cuts))):
+        if end != y:
+            a = cut_leftmost(v, a, v.value_between(a, end) - c, end=end)
+        pieces.append(Interval(a, end))
+        end = a - s
+    pieces.reverse()
+    if pieces[0].left != lo or any(v.value_between(p.left, p.right) != c
+                                   for v, p in zip(vs, pieces)):
+        raise InternalError(f"pieces worth exactly {c} do not fill the span")
+    return tuple(pieces)
+
+
 def exact_mms(v: PiecewiseConstantValuation, n: int,
               s) -> Tuple[Fraction, Partition]:
     """Exact best guaranteed share over n pieces separated by s, with an
     optimal partition achieving it (the optimum is attained, not just
     approached).
 
-    The share comes from the parametric greedy ``_max_share``; the
-    partition is the leftmost greedy at that share, whose first n-1 pieces
-    are worth exactly the share.
+    The share comes from the parametric greedy ``_max_share``; when it is
+    positive, the partition is ``_pieces_worth`` at that share, so every
+    piece is worth exactly the share.
     """
     if v.topology is not Topology.CAKE:
         raise InputError("exact_mms runs on cakes")
-    if n == 1:
-        s = frac(s)
-        if not (ZERO < s < ONE):
-            raise InputError(f"separation {s} outside (0, 1)")
-        return ONE, Partition(s, (Interval(ZERO, ONE),))
     s = _check_params(n, s)
-    if not explicit_decide_greater(v, n, s, ZERO, ZERO, ONE, total=ONE):
+    if n == 1:
+        return ONE, Partition(s, (Interval(ZERO, ONE),))
+    if not explicit_decide_greater(v, n, s, ZERO, ZERO, ONE):
         return ZERO, _trivial_partition(n, s, ONE)
-    share = _max_share(v.breakpoints, v.densities, v._prefix, ZERO, ONE, n, s)
-    # Self-certification: the greedy at-least/strictly-greater decisions are
-    # correct on their own, and together they pin the exact value.
-    if not explicit_decide_atleast(v, n, s, share, ZERO, ONE):
-        raise InternalError("computed share is above the true optimum")
-    if explicit_decide_greater(v, n, s, share, ZERO, ONE, total=ONE):
+    share = _max_share([(v.breakpoints, v.densities, v._prefix)] * n, ZERO,
+                       ONE, s)
+    # Self-certification, independent of the walk: at-least holds, since
+    # n pieces worth exactly the share fill the cake, and greater fails.
+    pieces = _pieces_worth([v] * n, share, ZERO, ONE, s)
+    if explicit_decide_greater(v, n, s, share, ZERO, ONE):
         raise InternalError("computed share is below the true optimum")
-    # The partition is the leftmost greedy that the at-least decision ran.
-    pieces = []
-    pos = ZERO
-    for _ in range(n - 1):
-        y = cut_leftmost(v, pos, share, end=ONE)
-        pieces.append(Interval(pos, y))
-        pos = y + s
-    pieces.append(Interval(pos, ONE))
-    return share, Partition(s, tuple(pieces))
+    return share, Partition(s, pieces)
 
 
 # -- independent oracle ---------------------------------------------------------
@@ -534,7 +556,6 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
     if k * s == 1:
         return ZERO
     if k == 1:
-        from .valuations import minimum_window_value
         return ONE - minimum_window_value(v, s)
 
     p = v.breakpoints
@@ -542,5 +563,5 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
     dens = v.densities * 2
     prefix = v._prefix + tuple(ONE + x for x in v._prefix[1:])
     openings = sorted({z % ONE for b in p for z in (b, b + s)})
-    return max(_max_share(bps, dens, prefix, z, z + ONE - s, k, s)
+    return max(_max_share([(bps, dens, prefix)] * k, z, z + ONE - s, s)
                for z in openings)

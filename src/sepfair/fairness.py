@@ -2,31 +2,26 @@
 
 Both solvers here work on explicit valuations (not query sessions): no
 finite query protocol can produce exact envy-free or equitable outcomes in
-this setting, so these are eps-approximation algorithms over the explicit
-representation.
+this setting.  Every allocation is exactly s-separated:
 
-The search space is the family of exactly-s-separated partitions, i.e. the
-simplex of piece lengths summing to (domain length) - (n-1)s:
+* ``equitable_bisection`` is exact.  For a fixed order of the agents the
+  equitable value is unique and is the largest c for which pieces worth at
+  least c fit; the share walk ``_max_share`` of ``exact_mms`` finds it, and
+  ``_pieces_worth`` places pieces worth exactly c.  No LP is solved.
+* ``envy_free_sperner`` is an eps-approximation.  It triangulates the
+  simplex of piece lengths (summing to the domain length minus (n-1)s),
+  owners rotate round-robin over grid parity, each vertex gets labeled
+  with its owner's favorite piece, and a fully-labeled cell is refined by
+  halving until the measured envy at its barycenter is within eps.  A full
+  relabeled scan at a coarse resolution always finds a fully-labeled cell;
+  refinement is local, escalating to a finer global scan and finally to an
+  exact assignment-enumeration solve in the (rare) degenerate cases.
 
-* ``equitable_bisection`` drives a common per-piece target value by
-  bisection; the residual handed to the last agent is monotone in the
-  target.  Zero-density segments can make that residual jump past zero, in
-  which case an exact piecewise-linear solve over segment assignments
-  finishes the job (the target value found by the bisection is then hit
-  exactly).
-* ``envy_free_sperner`` triangulates the length simplex, owners rotate
-  round-robin over grid parity, each vertex gets labeled with its owner's
-  favorite piece, and a fully-labeled cell is refined by halving until the
-  measured envy at its barycenter is within eps.  A full relabeled scan at
-  a coarse resolution always finds a fully-labeled cell; refinement is
-  local, escalating to a finer global scan and finally to an exact
-  assignment-enumeration solve in the (rare) degenerate cases.
-
-Both exact fallbacks (``_equitable_exact`` and ``_envy_free_exact``) build
-their LPs from the slot-pinned placement model of ``exact_mms``, which the
-cake and pie share LPs use too: the placement rows are shared, and each
-fallback adds only its own rows ('every piece is worth c', or 'no agent
-values another piece above her own').
+Both exact enumerations (``_envy_free_exact``, and ``_equitable_exact``,
+which is kept as an independent check of the equitable solver) build their
+LPs from the slot-pinned placement model of ``exact_mms``: the placement
+rows are shared, and each adds only its own rows ('every piece is worth
+c', or 'no agent values another piece above her own').
 """
 
 from __future__ import annotations
@@ -39,13 +34,12 @@ from typing import Optional, Sequence, Tuple
 from . import simplex
 from .cake import Allocation
 from .errors import InputError, InternalError
-from .exact_mms import (_piece_value, _placement_rows, _position_exprs,
-                        _slot_pairs, exact_mms, pie_exact_mms)
+from .exact_mms import (_max_share, _piece_value, _pieces_worth,
+                        _placement_rows, _position_exprs, _slot_pairs,
+                        exact_mms, pie_exact_mms)
 from .rationals import frac
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
-                         Topology, cut_leftmost, pieces_separated)
-
-HALF = Fraction(1, 2)
+                         Topology, pieces_separated)
 
 
 @dataclass(frozen=True)
@@ -97,13 +91,13 @@ def equitable_bisection(vs: Sequence[PiecewiseConstantValuation], s,
                         eps=Fraction(1, 10**9),
                         domain=(ZERO, ONE)) -> Allocation:
     """Exactly separated allocation, agents placed left to right in the
-    given order, all own-piece values within eps of one another.
+    given order, all own-piece values exactly equal.
 
-    For a target c, each agent in order takes the leftmost prefix worth c
-    followed by an exact-s gap; the value left to the last agent minus c is
-    nonincreasing in c, so c is found by bisection.  When the residual
-    jumps over zero (possible only across value-free segments), the exact
-    segment-assignment solver pins the allocation at the limiting target.
+    For a fixed order the equitable value is unique and equals the largest
+    c for which pieces worth at least c fit, which the share walk
+    ``_max_share`` finds; ``_pieces_worth`` then places pieces worth exactly
+    c.  The result is exact, so ``eps`` is only checked to be positive; it
+    is kept for callers that pass it.
     """
     n = len(vs)
     s, eps = frac(s), frac(eps)
@@ -113,62 +107,14 @@ def equitable_bisection(vs: Sequence[PiecewiseConstantValuation], s,
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise InputError(f"not a permutation of the agents: {order}")
-    lo_dom, hi_dom, _ = _domain_and_width(vs, s, domain, n)
+    lo, hi, _ = _domain_and_width(vs, s, domain, n)
     if n == 1:
-        return Allocation(s, {0: Interval(lo_dom, hi_dom)},
-                          vs[0].topology)
-
-    def attempt(c):
-        """Greedy at target c; returns (residual, pieces) or (None, None)."""
-        pos = lo_dom
-        pieces = []
-        for agent in order[:-1]:
-            if pos > hi_dom:
-                return None, None
-            y = cut_leftmost(vs[agent], pos, c, end=hi_dom)
-            if y is None:
-                return None, None
-            pieces.append(Interval(pos, y))
-            pos = y + s
-        if pos > hi_dom:
-            return None, None
-        pieces.append(Interval(pos, hi_dom))
-        w = vs[order[-1]].value_between(pos, hi_dom)
-        return w - c, pieces
-
-    lo, hi = ZERO, ONE
-    res_lo, pieces_lo = attempt(lo)
-    if res_lo is None:
-        raise InternalError("target zero must always be feasible")
-    trace = [(lo, res_lo)]
-    floor = eps / Fraction(2 ** 40)
-    while res_lo > eps and hi - lo > floor:
-        mid = (lo + hi) * HALF
-        res_mid, pieces_mid = attempt(mid)
-        trace.append((mid, res_mid))
-        if res_mid is not None and res_mid >= 0:
-            lo, res_lo, pieces_lo = mid, res_mid, pieces_mid
-        else:
-            hi = mid
-    _assert_monotone_residual(trace)
-    if res_lo <= eps:
-        assignment = {agent: pieces_lo[j] for j, agent in enumerate(order)}
-        return Allocation(s, assignment, vs[0].topology)
-    # Residual jumped past zero at the limiting target: solve exactly.
-    pieces = _equitable_exact(vs, s, order, lo_dom, hi_dom)
-    assignment = {agent: pieces[j] for j, agent in enumerate(order)}
-    return Allocation(s, assignment, vs[0].topology)
-
-
-def _assert_monotone_residual(trace) -> None:
-    """The last agent's leftover is nonincreasing in the target value; a
-    failed greedy (None) ranks below every finite residual."""
-    seen = [(c, Fraction(-2) if r is None else r) for c, r in trace]
-    seen.sort(key=lambda cr: cr[0])
-    for (c1, r1), (c2, r2) in zip(seen, seen[1:]):
-        if c1 < c2 and r1 < r2:
-            raise InternalError(
-                f"residual increased with the target: {c1}->{r1}, {c2}->{r2}")
+        return Allocation(s, {0: Interval(lo, hi)}, vs[0].topology)
+    placed = [vs[agent] for agent in order]
+    c = _max_share([(v.breakpoints, v.densities, v._prefix) for v in placed],
+                   lo, hi, s)
+    pieces = _pieces_worth(placed, c, lo, hi, s)
+    return Allocation(s, dict(zip(order, pieces)), vs[0].topology)
 
 
 def _merged_slots(vs, lo, hi):

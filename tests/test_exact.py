@@ -11,7 +11,7 @@ from sepfair.exact_mms import (IntervalList, LPInstance, _max_share,
                                exact_mms_allocation, explicit_decide_greater,
                                pie_exact_mms, select_interval_list,
                                solve_lp_exact)
-from sepfair.fairness import fairness_check
+from sepfair.fairness import equitable_bisection, fairness_check, pie_equitable
 from sepfair.sessions import QuerySession
 from sepfair.valuations import Interval, PiecewiseConstantValuation, Topology
 
@@ -21,16 +21,19 @@ from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, pie_enum_oracle,
 
 
 def cake_engine(v, n, s):
-    return _max_share(v.breakpoints, v.densities, v._prefix, F(0), F(1), n,
-                      s)
+    return _max_share([(v.breakpoints, v.densities, v._prefix)] * n, F(0),
+                      F(1), s)
 
 
 def assert_optimal_witness(v, n, s):
     """exact_mms returns a partition with exact-s gaps from 0 to 1 whose
-    pieces are all worth at least the share; returns the share."""
+    pieces are all worth at least the share, and exactly the share when it
+    is positive; returns the share."""
     mms, part = exact_mms(v, n, s)
     assert len(part.pieces) == n
     verify_partition(v, part, mms, exact=True)
+    if mms > 0:
+        assert all(v.value(piece) == mms for piece in part.pieces)
     return mms
 
 
@@ -247,6 +250,19 @@ class TestNoLP:
             assert rep.mms_dominance == tuple(
                 vs[i].value(alloc.assignment[i]) >= pie_exact_mms(vs[i], 4, s)
                 for i in range(3))
+
+    @pytest.mark.parametrize("pie", [False, True])
+    def test_equitable(self, pie):
+        rng = random.Random(607 + pie)
+        topology = Topology.PIE if pie else Topology.CAKE
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            vs = [random_valuation(rng, topology, max_segments=6,
+                                   zero_prob=0.3) for _ in range(n)]
+            s = random_separation(rng, F(1, n) if pie else F(1, n - 1))
+            alloc = (pie_equitable if pie else equitable_bisection)(vs, s)
+            assert len({vs[i].value(alloc.assignment[i])
+                        for i in range(n)}) == 1
 
 
 class TestBruteOracle:

@@ -23,14 +23,18 @@ Three adversaries are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .cake import approx_mms
 from .errors import InputError, InternalError
+from .exact_mms import exact_mms
+from .pie import PiePartition
 from .rationals import frac
 from .sessions import QueryRecord, replay_answer
-from .valuations import (ONE, ZERO, PiecewiseConstantValuation, Topology,
-                         cut_leftmost, minimum_window_value)
+from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
+                         Topology, cut_leftmost, minimum_window_value)
 
 HALF = Fraction(1, 2)
 
@@ -203,8 +207,6 @@ def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
     consistent with the whole transcript whose true exact share differs
     from the claim (checked here with the explicit solver).
     """
-    from .exact_mms import exact_mms
-
     s = frac(s)
     adv = FindSumAdversary(s)
     sess = MmsReductionSession(adv)
@@ -239,9 +241,6 @@ class _ArcEditor:
         self.bps = list(v.breakpoints)
         self.dens = list(v.densities)
 
-    def _density_left_of(self, idx):
-        return self.dens[idx]
-
     def set_arc(self, a: Fraction, b: Fraction, g: Fraction) -> None:
         """Clockwise arc [a, b] gets constant density g."""
         a, b = a % ONE, b % ONE
@@ -256,7 +255,6 @@ class _ArcEditor:
                     self.dens[i] = g
 
     def _insert(self, p: Fraction) -> None:
-        from bisect import bisect_left, insort
         if p in (ZERO, ONE) or p in self.bps:
             return
         i = bisect_left(self.bps, p)
@@ -461,8 +459,6 @@ def bisection_share_candidate(sess, s, budget: int) -> Fraction:
     """The library's own bracketing solver, forced to commit to an exact
     answer: binary-searches the two-piece share and returns its lower
     bracket end as if it were exact.  Uses at most ``budget`` queries."""
-    from .cake import approx_mms
-
     iters = max(budget // 2, 1)
     r, _ = approx_mms(sess, 2, s, Fraction(1, 2 ** iters))
     return r
@@ -590,7 +586,6 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
             dens.append(HALF)
     v_high = PiecewiseConstantValuation(breakpoints, dens, Topology.PIE)
     if return_partition:
-        from .pie import PiePartition
         pieces = tuple(
             _canonical_interval(piece_edges[2 * j], piece_edges[2 * j + 1])
             for j in range(k))
@@ -599,7 +594,6 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
 
 
 def _canonical_interval(a, b):
-    from .valuations import Interval
     return Interval(a % ONE, b % ONE)
 
 
@@ -619,8 +613,7 @@ def _membership_flags(piece_edges, breakpoints, k):
 
 
 def _interval_index(rec_sorted, a):
-    import bisect
-    i = bisect.bisect_right(rec_sorted, a) - 1
+    i = bisect_right(rec_sorted, a) - 1
     return max(i, 0)
 
 

@@ -29,8 +29,8 @@ from .errors import InputError, ProtocolError, SepfairError
 from .exact_mms import exact_mms, exact_mms_allocation
 from .fairness import (equitable_bisection, envy_free_sperner, fairness_check,
                        pie_envy_free, pie_equitable)
-from .instances import (allocation_to_json, instance_to_json, load_allocation,
-                        load_instance)
+from .instances import (Instance, allocation_to_json, instance_to_json,
+                        load_allocation, load_instance)
 from .pie import (pie_allocation_ordinal, pie_approx_mms,
                   pie_decide_equals_one_over_k, pie_decide_positive)
 from .rationals import fmt, frac
@@ -299,7 +299,6 @@ def _run_adversary(args) -> dict:
                 "answer": out["answer"], "window_min": fmt(out["window_min"]),
                 "falsified": out["falsified"], "queries": out["queries"]}
     v_low, v_high = adv.pie_threshold_witnesses(args.k, s, [])
-    from .instances import Instance
     low = instance_to_json(Instance(Topology.PIE, s, (v_low,)))
     high = instance_to_json(Instance(Topology.PIE, s, (v_high,)))
     return {"kind": "pie-witness", "k": args.k, "s": args.s,

@@ -37,7 +37,7 @@ from .errors import InputError, InternalError
 from .exact_mms import (_max_share, _piece_value, _pieces_worth,
                         _placement_rows, _position_exprs, _slot_pairs,
                         exact_mms, pie_exact_mms)
-from .rationals import frac
+from .rationals import fmt, frac
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
                          Topology, pieces_separated)
 
@@ -66,7 +66,6 @@ class FairnessReport:
     mms_dominance: Tuple[bool, ...]
 
     def to_json(self) -> dict:
-        from .rationals import fmt
         return {
             "envy_max": fmt(self.envy_max),
             "equitability_gap": fmt(self.equitability_gap),

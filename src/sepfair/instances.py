@@ -52,9 +52,7 @@ def parse_instance(data: dict) -> Instance:
     for i, entry in enumerate(agents):
         try:
             vs.append(PiecewiseConstantValuation(
-                [frac(p) for p in entry["breakpoints"]],
-                [frac(g) for g in entry["densities"]],
-                topology))
+                entry["breakpoints"], entry["densities"], topology))
         except (KeyError, TypeError) as exc:
             raise InputError(f"agent {i}: malformed valuation") from exc
         except InputError as exc:

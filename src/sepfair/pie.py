@@ -9,12 +9,13 @@ agent.  As on the cake, agents are reached only through sessions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cake import (Allocation, approx_mms, mms_fair_allocation,
+from .cake import (Allocation, _greater, approx_mms, mms_fair_allocation,
                    ordinal_allocation_2n_minus_1)
 from .errors import InputError, InternalError, ProtocolError
 from .rationals import frac
@@ -157,7 +158,6 @@ def pie_decide_positive(sess, k: int, s) -> bool:
     # The rest of the circle holds all the value, so its total is known.
     sub = SubcakeSession(sess, offset=b, length=ONE - Fraction(1, 2 * k),
                          known_total=ONE)
-    from .cake import _greater
     return _greater(sub, k, s, ZERO)
 
 
@@ -170,6 +170,8 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
     at a mark and further pieces of no smaller value.  The best candidate
     value r satisfies share - eps <= r <= share because shrinking an
     optimal partition's pieces to marks loses at most eps/2 per endpoint.
+    The search makes no queries; it bisects the mark positions and values,
+    laid out twice round the circle once per call.
     """
     k = int(k)
     s = frac(s)
@@ -185,27 +187,28 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
         if y is None or y <= marks[-1]:
             break                   # wrapped past the start
         marks.append(y)
-    mcount = len(marks)
-    values = [t * step for t in range(mcount)]   # prefix value at each mark
-
-    def val(i, j):                  # clockwise value, mark i -> mark j
-        if i == j:
-            return ZERO
-        if i < j:
-            return values[j] - values[i]
-        return ONE - (values[i] - values[j])
+    m = len(marks)
+    # Index t + m is mark t one turn later: position + 1, value + 1.
+    upos = marks + [p + ONE for p in marks]
+    ucum = [t * step for t in range(m)]
+    ucum += [c + ONE for c in ucum]
 
     best: Optional[Tuple[Fraction, PiePartition]] = None
-    for i in range(mcount):
-        upos, ucum = _unrolled_marks(marks, values, i)
-        for j in range(mcount):
-            target = val(i, j)
-            if best is not None and target <= best[0]:
-                continue
-            pieces = _greedy_from_marks(marks[i], upos, ucum, s, k,
-                                        (j - i) % mcount)
-            if pieces is not None:
-                best = (target, PiePartition(s, pieces))
+    for i in range(m):
+        # A larger first piece from the same start only pushes every later
+        # endpoint right, so once a target fails every larger one fails:
+        # try the targets above the best so far in increasing order and
+        # stop at the first failure.
+        e = i
+        while True:
+            if best is not None:
+                e = bisect_right(ucum, ucum[i] + best[0], e, i + m)
+            if e == i + m:
+                break
+            pieces = _greedy_from_marks(upos, ucum, i, e, s, k)
+            if pieces is None:
+                break
+            best = (ucum[e] - ucum[i], PiePartition(s, pieces))
     if best is None:
         # No mark-aligned partition at all: any piece worth more than
         # eps/2 contains a mark, so the true share is at most eps and
@@ -220,48 +223,27 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
     return best
 
 
-def _unrolled_marks(marks, values, i):
-    """Mark positions and cumulative values unrolled clockwise from mark i
-    (index t is the t-th mark after i; index m closes the full circle)."""
-    m = len(marks)
-    upos = [ZERO] * (m + 1)
-    ucum = [ZERO] * (m + 1)
-    for t in range(1, m + 1):
-        idx = (i + t) % m
-        if t == m:
-            upos[t], ucum[t] = ONE, ONE
-        else:
-            upos[t] = (marks[idx] - marks[i]) % ONE
-            ucum[t] = values[idx] - values[i] if idx > i \
-                else ONE - (values[i] - values[idx])
-    return upos, ucum
-
-
-def _greedy_from_marks(start, upos, ucum, s, k, jj):
-    """Complete a k-piece partition whose first piece spans unrolled marks
-    0..jj; all endpoints stay on marks.  None when the k separators cannot
-    all be placed before wrapping back into the first piece."""
-    from bisect import bisect_left
-
-    m = len(upos) - 1
-    target = ucum[jj]
-    pieces = [(ZERO, upos[jj])]
-    at = jj
+def _greedy_from_marks(pos, cum, i, e, s, k):
+    """Complete a k-piece partition whose first piece spans marks i..e of
+    the doubled arrays, which list the m marks twice.  Every endpoint is a
+    mark index in [i, i + m], and i + m is mark i one turn later.  None
+    when the k separators cannot all be placed before wrapping back into
+    the first piece."""
+    last = i + len(pos) // 2
+    target = cum[e] - cum[i]
+    ends = [(i, e)]
+    at = e
     for _ in range(k - 1):
-        t = bisect_left(upos, upos[at] + s)      # first mark >= s away
-        if t > m:
+        t = bisect_left(pos, pos[at] + s, at, last + 1)   # s away or more
+        if t > last:
             return None
-        piece_end = bisect_left(ucum, ucum[t] + target)
-        if target == 0:
-            piece_end = t
-        if piece_end > m:
+        at = bisect_left(cum, cum[t] + target, t, last + 1) if target else t
+        if at > last:
             return None
-        pieces.append((upos[t], upos[piece_end]))
-        at = piece_end
-    if upos[at] + s > ONE:
+        ends.append((t, at))
+    if pos[at] + s > pos[last]:
         return None                  # wrap-around separator does not fit
-    return tuple(Interval((start + a) % ONE, (start + b) % ONE)
-                 for a, b in pieces)
+    return tuple(Interval(pos[a] % ONE, pos[b] % ONE) for a, b in ends)
 
 
 def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",

@@ -13,7 +13,7 @@ and no operation ever rounds.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -163,19 +163,6 @@ class PiecewiseConstantValuation:
             j = max(j, 0)
         return self.densities[j]
 
-    def _segments_from(self, x: Fraction, end: Fraction):
-        """Yield (a, b, density) covering [x, end] left to right."""
-        if x >= end:
-            return
-        j = bisect_right(self.breakpoints, x) - 1
-        j = min(j, len(self.densities) - 1)
-        while j < len(self.densities) and self.breakpoints[j] < end:
-            a = max(self.breakpoints[j], x)
-            b = min(self.breakpoints[j + 1], end)
-            if a < b:
-                yield a, b, self.densities[j]
-            j += 1
-
     def __eq__(self, other):
         return (isinstance(other, PiecewiseConstantValuation)
                 and self.topology == other.topology
@@ -203,36 +190,34 @@ def cut_leftmost(v: PiecewiseConstantValuation, x: Fraction, alpha: Fraction,
     """First point y (clockwise from x on a pie) with value(v, [x, y]) == alpha.
 
     Returns None when the value available after x is below alpha.  On a cake
-    the walk stops at ``end`` (default 1); a pie walk may wrap once around
-    the whole circle.
+    the cut must lie at or before ``end`` (default 1); a pie cut may wrap
+    once around the whole circle.  The cut is one bisection on the prefix
+    values for prefix(x) + alpha, O(log d); on a pie a target above 1
+    wraps to target - 1.
     """
     x, alpha = frac(x), frac(alpha)
     if alpha < 0:
         raise InputError("cut target must be nonnegative")
-    if v.topology is Topology.CAKE or end is not None:
-        # Bounded walk; on a pie an explicit end restricts the cut to the
-        # non-wrapping arc [x, end].
-        stop = ONE if end is None else frac(end)
-        if not (ZERO <= x <= stop <= ONE):
-            raise InputError(f"cut anchor {x} outside [0, {stop}]")
-        spans = [(x, stop)]
-        wraps = False
-    else:
+    stop = ONE if end is None else frac(end)
+    # An explicit end keeps a pie cut on the non-wrapping arc [x, end].
+    wraps = v.topology is Topology.PIE and end is None
+    if wraps:
         x %= ONE
-        spans = [(x, ONE), (ZERO, x)]
-        wraps = True
+    elif not (ZERO <= x <= stop <= ONE):
+        raise InputError(f"cut anchor {x} outside [0, {stop}]")
     if alpha == 0:
         return x
-    acc = ZERO
-    for lo, hi in spans:
-        for a, b, g in v._segments_from(lo, hi):
-            if g > 0:
-                seg = g * (b - a)
-                if acc + seg >= alpha:
-                    y = a + (alpha - acc) / g
-                    return y % ONE if wraps else y
-                acc += seg
-    return None
+    target = v.prefix(x) + alpha
+    if wraps and target > ONE:
+        target, stop = target - ONE, x
+    j = bisect_left(v._prefix, target)
+    if j == len(v._prefix):
+        return None
+    # prefix[j - 1] < target <= prefix[j], so segment j - 1 has value.
+    y = v.breakpoints[j - 1] + (target - v._prefix[j - 1]) / v.densities[j - 1]
+    if y > stop:
+        return None
+    return y % ONE if wraps else y
 
 
 def cut_rightmost(v: PiecewiseConstantValuation, x: Fraction,
@@ -244,17 +229,16 @@ def cut_rightmost(v: PiecewiseConstantValuation, x: Fraction,
     """
     if v.topology is not Topology.CAKE:
         raise InputError("cut_rightmost is defined on the cake only")
-    y = cut_leftmost(v, x, alpha)
-    if y is None:
+    if cut_leftmost(v, x, alpha) is None:      # also validates x and alpha
         return None
-    # The set of valid cut points is the closed interval from the leftmost
-    # cut to the end of the zero-density run that follows it.
-    while y < ONE:
-        j = min(bisect_right(v.breakpoints, y) - 1, len(v.densities) - 1)
-        if v.densities[j] > 0:
-            break
-        y = v.breakpoints[j + 1]
-    return y
+    # cut_leftmost's search with bisect_right: the first breakpoint worth
+    # more than the target ends the zero-density run after the leftmost cut.
+    target = v.prefix(x) + frac(alpha)
+    j = bisect_right(v._prefix, target)
+    if j == len(v._prefix):
+        return ONE
+    return (v.breakpoints[j - 1]
+            + (target - v._prefix[j - 1]) / v.densities[j - 1])
 
 
 def flip(v: PiecewiseConstantValuation) -> PiecewiseConstantValuation:

@@ -205,6 +205,18 @@ def test_float_rejected_in_instances(tmp_path):
     assert main(["mms-exact", "--instance", str(bad)]) == 1
 
 
+def test_bad_density_names_its_agent(tmp_path, capsys):
+    bad = tmp_path / "baddensity.json"
+    bad.write_text(json.dumps({
+        "topology": "cake", "s": "1/4",
+        "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]},
+                   {"breakpoints": ["0", "1/2", "1"],
+                    "densities": ["x/3", "2"]}]}))
+    assert main(["mms-exact", "--instance", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "agent 1:" in err and "x/3" in err
+
+
 def test_table_output(capsys):
     code = main(["mms-exact", "--instance", THIRDS_PATH, "--n", "2",
                  "--output", "table"])

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from sepfair.errors import InputError, ProtocolError
+from sepfair.exact_mms import pie_exact_mms
 from sepfair.pie import (pie_allocation_ordinal, pie_approx_mms,
                          pie_decide_equals_one_over_k, pie_decide_positive,
                          pie_via_cake_allocation)
@@ -12,7 +13,7 @@ from sepfair.valuations import (Interval, PiecewiseConstantValuation,
                                 Topology, pieces_separated)
 
 from helpers import (UNIFORM_PIE, max_density, pie_grid_oracle,
-                     random_valuation, verify_allocation)
+                     random_separation, random_valuation, verify_allocation)
 
 
 def sess(v):
@@ -223,6 +224,32 @@ class TestApproxMms:
             for piece in witness.pieces:
                 assert v.value(piece) >= r
             assert q.query_count <= 2 / eps + 1
+
+    def test_against_exact_share(self):
+        # Every eps/2 divides 1, so on the pies whose last segment is
+        # worthless a mark sits at value exactly 1 before the circle
+        # closes, and that mark ties with mark 0 one turn later.
+        rng = random.Random(2037)
+        worthless_end = 0
+        for idx in range(40):
+            k = rng.randint(2, 5)
+            eps = (F(1, 6), F(1, 20), F(2, 37))[idx % 3]
+            v = random_valuation(rng, Topology.PIE, max_segments=8,
+                                 zero_prob=0.3)
+            if idx % 2 and v.segment_count > 1 and any(v.densities[:-1]):
+                v = pie(v.breakpoints, v.densities[:-1] + (0,))
+                worthless_end += 1
+            s = random_separation(rng, F(1, k))
+            q = sess(v)
+            r, witness = pie_approx_mms(q, k, s, eps)
+            share = pie_exact_mms(v, k, s)
+            assert share - eps <= r <= share, (v, k, s, eps)
+            assert pieces_separated(witness.pieces, s, Topology.PIE)
+            assert len(witness.pieces) == k
+            for piece in witness.pieces:
+                assert v.value(piece) >= r
+            assert q.query_count <= 2 / eps + 1
+        assert worthless_end >= 15
 
 
 class TestViaCake:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -128,6 +129,82 @@ def test_cut_rightmost_not_left_of_leftmost(rnd, alpha):
         # immediately after the leftmost one
         if left < 1:
             assert (right == left) == (v.density_at(left, +1) > 0)
+
+
+def _cut_cases(seed, topology):
+    """Seeded valuations (d <= 64, 30% worthless segments) with anchors on
+    breakpoints, inside zero runs and anywhere, and targets at 0, at a
+    breakpoint, at the whole available value, just above it and at 1."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        v = random_valuation(rng, topology, max_segments=64, zero_prob=0.3,
+                             denom=24)
+        bps = v.breakpoints
+        zero_runs = [(a + b) / 2 for a, b, g in zip(bps, bps[1:], v.densities)
+                     if g == 0]
+        anchors = [rng.choice(bps), F(rng.randint(0, 97), 97)]
+        anchors += rng.sample(zero_runs, min(2, len(zero_runs)))
+        for x in anchors:
+            ends = [None, x + (1 - x) * F(rng.randint(0, 7), 8),
+                    rng.choice([b for b in bps if b >= x])]
+            for end in ends:
+                stop = 1 if end is None else end
+                if topology is Topology.PIE and end is None:
+                    avail = F(1)
+                else:
+                    avail = v.value_between(x, stop)
+                b = rng.choice([b for b in bps if b >= x])
+                alphas = {F(0), avail, avail + F(1, 97), F(1),
+                          avail * F(rng.randint(1, 96), 97),
+                          v.value_between(x, min(b, stop))}
+                for alpha in sorted(alphas):
+                    yield v, x, end, alpha, avail
+
+
+def _clockwise_value(v, x, y, alpha):
+    if v.topology is Topology.PIE and y == x % 1 and alpha > 0:
+        return F(1)                     # a full turn ends where it began
+    return v.value_between(x, y)
+
+
+@pytest.mark.parametrize("topology", [Topology.CAKE, Topology.PIE])
+def test_cut_leftmost_rule(topology):
+    for v, x, end, alpha, avail in _cut_cases(11, topology):
+        y = cut_leftmost(v, x, alpha, end)
+        assert (y is None) == (alpha > avail), (v, x, end, alpha)
+        if y is None:
+            continue
+        assert _clockwise_value(v, x, y, alpha) == alpha
+        if end is not None:
+            assert x <= y <= end
+        if alpha > 0:
+            # just left of 0 on a pie is the last segment
+            left = (v.densities[-1] if y == 0 else v.density_at(y, -1))
+            assert left > 0, (v, x, end, alpha, y)
+
+
+def test_cut_leftmost_wraps_on_a_pie():
+    v = PiecewiseConstantValuation(("0", "1/4", "1/2", "1"),
+                                   ("2", "0", "1"), Topology.PIE)
+    assert cut_leftmost(v, F(3, 4), F(1, 2)) == F(1, 8)
+    assert cut_leftmost(v, F(3, 4), 1) == F(3, 4)
+    assert cut_leftmost(v, F(3, 8), 1) == F(1, 4)   # zero run before x
+    assert cut_leftmost(v, F(1, 2), F(1, 2)) == 0   # exactly at 1
+    assert cut_leftmost(v, F(1, 2), F(1, 2), end=F(3, 4)) is None
+    assert cut_leftmost(v, F(1, 2), F(1, 4), end=F(3, 4)) == F(3, 4)
+
+
+def test_cut_rightmost_rule():
+    for v, x, end, alpha, avail in _cut_cases(12, Topology.CAKE):
+        if end is not None:
+            continue
+        y = cut_rightmost(v, x, alpha)
+        assert (y is None) == (alpha > avail), (v, x, alpha)
+        if y is None:
+            continue
+        assert v.value_between(x, y) == alpha
+        assert y == 1 or v.density_at(y, +1) > 0, (v, x, alpha, y)
+        assert y >= cut_leftmost(v, x, alpha)
 
 
 def test_minimum_window_value_examples():

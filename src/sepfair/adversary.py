@@ -265,15 +265,6 @@ class _ArcEditor:
         return PiecewiseConstantValuation(self.bps, self.dens, Topology.PIE)
 
 
-def _set_arc_density(v: PiecewiseConstantValuation, a: Fraction, b: Fraction,
-                     g: Fraction) -> PiecewiseConstantValuation:
-    """New pie valuation equal to v outside the clockwise arc [a, b] and
-    with constant density g inside it (the edit must preserve the total)."""
-    ed = _ArcEditor(v)
-    ed.set_arc(a, b, g)
-    return ed.build()
-
-
 class HasLowValueAdversary:
     """Hides a length-s window of density q/s (value exactly q) on a pie
     with density strictly above q/s everywhere else, sliding the window
@@ -407,11 +398,11 @@ class HasLowValueAdversary:
         y = self.window
         lo = (y - self._prev_before(y)) % ONE
         hi = (y + self._next_after(y)) % ONE
-        val = self.valuation.value_between(lo, hi)
-        flat = val / ((hi - lo) % ONE)
-        revealed = _set_arc_density(self.valuation, lo, hi, flat)
-        self.finalized_valuation = revealed
-        return revealed
+        ed = _ArcEditor(self.valuation)
+        flat = self.valuation.value_between(lo, hi) / ((hi - lo) % ONE)
+        ed.set_arc(lo, hi, flat)
+        self.finalized_valuation = ed.build()
+        return self.finalized_valuation
 
     def check_window_invariant(self) -> bool:
         v, y, s = self.valuation, self.window, self.s
@@ -420,15 +411,6 @@ class HasLowValueAdversary:
         if y in self.recorded or (y + s) % ONE in self.recorded:
             return False
         return minimum_window_value(v, s) == self.q
-
-
-def haslowvalue_answer(sess: HasLowValueAdversary, rw_query):
-    kind, *args = rw_query
-    if kind == "eval":
-        return sess.eval(*args)
-    if kind == "cut":
-        return sess.cut(*args)
-    raise InputError(f"unknown query kind {kind!r}")
 
 
 def falsify_window_solver(solver: Callable, s, q, budget: int) -> dict:

@@ -14,6 +14,11 @@ worth exactly that much each, which certifies at-least; each cake share
 is also checked by the explicit strictly-greater decision, which must
 fail.  No LP is solved on these paths.
 
+The explicit decisions are ``cake``'s greedies asked of a valuation
+directly, with no session: ``explicit_decide_greater`` is ``cake._greater``
+on an uncounted view of it, and ``explicit_decide_atleast`` and
+``_pieces_worth`` share one leftmost walk, ``_leftmost_greedy``.
+
 The slot-pinned placement model (``_position_exprs``, ``_slot_pairs``,
 ``_placement_rows``, ``_piece_value`` and ``_maxmin_lp``) turns a segment
 assignment of every endpoint into one small LP.  It serves the exact
@@ -31,17 +36,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from . import simplex
-from .cake import (Allocation, Partition, _check_params, _trivial_partition,
-                   mms_fair_allocation)
+from .cake import (Allocation, Partition, _check_params, _greater,
+                   _trivial_partition, mms_fair_allocation)
 from .errors import InputError, InternalError, ProtocolError
 from .rationals import frac
 from .sessions import QuerySession
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
-                         Topology, cut_leftmost, minimum_window_value)
+                         Topology, cut_leftmost)
 
 
 @dataclass(frozen=True)
@@ -205,60 +212,47 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     return LPSolution(simplex.OPTIMAL, c, cuts)
 
 
-# -- explicit greedy decisions (restricted to a subinterval) -------------------
+# -- explicit greedy decisions -------------------------------------------------
+
+
+def _leftmost_greedy(vs, c, lo, hi, s):
+    """The leftmost greedy at c on [lo, hi]: each piece is cut where it is
+    first worth c to its own valuation, the next starts s later.  Returns
+    the starts (one more than pieces) and the cuts, or None when a piece
+    worth c does not fit."""
+    starts, cuts = [lo], []
+    for v in vs:
+        y = None if starts[-1] > hi else cut_leftmost(v, starts[-1], c, end=hi)
+        if y is None:
+            return None
+        cuts.append(y)
+        starts.append(y + s)
+    return starts, cuts
 
 
 def explicit_decide_atleast(v: PiecewiseConstantValuation, parts: int,
                             s: Fraction, r: Fraction, lo: Fraction,
                             hi: Fraction) -> bool:
     """Can [lo, hi] be split into ``parts`` s-separated pieces worth >= r
-    each?  Same greedy as the session-based decision, on the explicit
-    valuation; degenerate (zero-length) pieces are allowed."""
+    each?  The leftmost greedy, as in the session-based decision, on the
+    explicit valuation; degenerate (zero-length) pieces are allowed."""
     if parts <= 0:
         raise InputError("parts must be positive")
-    if hi - lo < (parts - 1) * s:
-        return False
     if r <= 0:
-        return True
-    pos = lo
-    for _ in range(parts - 1):
-        if pos > hi:
-            return False
-        y = cut_leftmost(v, pos, r, end=hi)
-        if y is None:
-            return False
-        pos = y + s
-    if pos > hi:
-        return False
-    return v.value_between(pos, hi) >= r
+        return hi - lo >= (parts - 1) * s
+    return _leftmost_greedy([v] * parts, r, lo, hi, s) is not None
 
 
 def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
-                            s: Fraction, r: Fraction, lo: Fraction,
-                            hi: Fraction) -> bool:
-    """Can [lo, hi] be split into ``parts`` s-separated pieces worth > r
-    each?  Builds pieces of value exactly r from the right (as leftmost
-    cuts on prefix targets) and asks whether positive value is left over."""
+                            s: Fraction, r: Fraction) -> bool:
+    """Can the cake be split into ``parts`` s-separated pieces worth > r
+    each?  This is ``cake``'s strictly-greater greedy asked of ``v``
+    directly, with no session and so no query counted."""
     if parts <= 0:
         raise InputError("parts must be positive")
-    if hi - lo < (parts - 1) * s:
-        return False
-    if r < 0:
-        return True
-    target = v.value_between(lo, hi) - r
-    if target < 0:
-        return False
-    x = cut_leftmost(v, lo, target, end=hi)
-    if x is None:
-        raise InternalError("prefix cut below total value must exist")
-    for _ in range(parts - 1):
-        if x - s < lo:
-            return False
-        target = v.value_between(lo, x - s) - r
-        if target < 0:
-            return False
-        x = cut_leftmost(v, lo, target, end=hi)
-    return target > 0
+    view = SimpleNamespace(domain_end=ONE, known_total=ONE,
+                           cut=partial(cut_leftmost, v), eval=v.value_between)
+    return _greater(view, parts, s, r)
 
 
 # -- interval selection: the LP path exact_mms used to take, kept as a check ---
@@ -409,15 +403,11 @@ def _pieces_worth(vs, c, lo, hi, s) -> Tuple[Interval, ...]:
     that such pieces can reach form an interval, so at the largest c the
     first start lands on lo; anything else raises ``InternalError``.
     """
-    starts, cuts = [lo], []
-    for v in vs:
-        y = None if starts[-1] > hi else cut_leftmost(v, starts[-1], c, end=hi)
-        if y is None:
-            raise InternalError(f"no pieces worth {c} fit")
-        cuts.append(y)
-        starts.append(y + s)
+    walk = _leftmost_greedy(vs, c, lo, hi, s)
+    if walk is None:
+        raise InternalError(f"no pieces worth {c} fit")
     pieces, end = [], hi
-    for v, a, y in reversed(list(zip(vs, starts, cuts))):
+    for v, a, y in reversed(list(zip(vs, *walk))):
         if end != y:
             a = cut_leftmost(v, a, v.value_between(a, end) - c, end=end)
         pieces.append(Interval(a, end))
@@ -444,14 +434,14 @@ def exact_mms(v: PiecewiseConstantValuation, n: int,
     s = _check_params(n, s)
     if n == 1:
         return ONE, Partition(s, (Interval(ZERO, ONE),))
-    if not explicit_decide_greater(v, n, s, ZERO, ZERO, ONE):
+    if not explicit_decide_greater(v, n, s, ZERO):
         return ZERO, _trivial_partition(n, s, ONE)
     share = _max_share([(v.breakpoints, v.densities, v._prefix)] * n, ZERO,
                        ONE, s)
     # Self-certification, independent of the walk: at-least holds, since
     # n pieces worth exactly the share fill the cake, and greater fails.
     pieces = _pieces_worth([v] * n, share, ZERO, ONE, s)
-    if explicit_decide_greater(v, n, s, share, ZERO, ONE):
+    if explicit_decide_greater(v, n, s, share):
         raise InternalError("computed share is below the true optimum")
     return share, Partition(s, pieces)
 
@@ -555,8 +545,6 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
         raise InputError(f"{k} separators of length {s} do not fit")
     if k * s == 1:
         return ZERO
-    if k == 1:
-        return ONE - minimum_window_value(v, s)
 
     p = v.breakpoints
     bps = p + tuple(ONE + b for b in p[1:])

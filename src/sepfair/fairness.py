@@ -15,7 +15,9 @@ this setting.  Every allocation is exactly s-separated:
   halving until the measured envy at its barycenter is within eps.  A full
   relabeled scan at a coarse resolution always finds a fully-labeled cell;
   refinement is local, escalating to a finer global scan and finally to an
-  exact assignment-enumeration solve in the (rare) degenerate cases.
+  exact assignment-enumeration solve in the (rare) degenerate cases.  Both
+  the scan (``_cells_at``) and the halving (``_refine_cell``) take their
+  cells from one generator of staircase cells, ``_kuhn_cells``.
 
 Both exact enumerations (``_envy_free_exact``, and ``_equitable_exact``,
 which is kept as an independent check of the equitable solver) build their
@@ -193,27 +195,29 @@ def _favorite_piece(v, pieces) -> int:
     return lens.index(max(lens))
 
 
+def _kuhn_cells(bases, ok):
+    """Staircase cells from each base in turn: for every permutation of the
+    coordinates, in ``permutations`` order, the walk that raises them by
+    one each in that order, kept when ``ok`` holds at every step."""
+    for base in bases:
+        for perm in permutations(range(len(base))):
+            verts = [base]
+            for step in perm:
+                y = verts[-1]
+                y = y[:step] + (y[step] + 1,) + y[step + 1:]
+                if not ok(y):
+                    break
+                verts.append(y)
+            else:
+                yield verts
+
+
 def _cells_at(m: int, n: int):
     """All cells of the staircase triangulation of the order polytope
-    0 <= y_1 <= ... <= y_{n-1} <= m, as (base, permutation)."""
-    dim = n - 1
-    for base in product(range(m + 1), repeat=dim):
-        if any(base[i] > base[i + 1] for i in range(dim - 1)):
-            continue
-        for perm in permutations(range(dim)):
-            verts = [tuple(base)]
-            good = True
-            for step in perm:
-                nxt = list(verts[-1])
-                nxt[step] += 1
-                verts.append(tuple(nxt))
-                prev = verts[-1]
-                if any(prev[i] > prev[i + 1] for i in range(dim - 1)) \
-                        or prev[-1] > m:
-                    good = False
-                    break
-            if good:
-                yield verts
+    0 <= y_1 <= ... <= y_{n-1} <= m, each as its vertex walk."""
+    def ok(y):
+        return all(a <= b for a, b in zip(y, y[1:])) and y[-1] <= m
+    return _kuhn_cells(filter(ok, product(range(m + 1), repeat=n - 1)), ok)
 
 
 def _fully_labeled(verts, m, n, s, lo, width, vs, cache):
@@ -231,50 +235,17 @@ def _fully_labeled(verts, m, n, s, lo, width, vs, cache):
 def _refine_cell(verts, m: int, n: int):
     """Cells of the doubled grid inside one staircase cell.
 
-    The cell hull is {base + sum mu_i e_perm(i) : 1 >= mu_0 >= ... >= 0};
-    after doubling, integer points inside are enumerated directly.
+    The cell is {base + sum mu_t e_steps[t] : 1 >= mu_0 >= ... >= 0}, where
+    ``steps`` is the order in which its walk raises the coordinates.  After
+    doubling, a grid point z lies in it when z - 2*base, read in that order,
+    is non-increasing; the cells of those points are its 2^(n-1) halves.
     """
-    dim = n - 1
-    base = verts[0]
-    steps = []
-    cur = verts[0]
-    for nxt in verts[1:]:
-        steps.append(next(i for i in range(dim) if nxt[i] != cur[i]))
-        cur = nxt
-    dbase = tuple(2 * b for b in base)
-
-    def inside(z):
-        delta = [z[i] - dbase[i] for i in range(dim)]
-        vals = [delta[steps[t]] for t in range(len(steps))]
-        if any(d != 0 for i, d in enumerate(delta)
-               if i not in steps):
-            return False
-        prev = Fraction(2)
-        for t, val in enumerate(vals):
-            if not (0 <= val <= prev):
-                return False
-            prev = val
-        return True
-
-    members = []
-    for off in product(range(3), repeat=dim):
-        z = tuple(dbase[i] + off[i] for i in range(dim))
-        if inside(z):
-            members.append(z)
-    member_set = set(members)
-    for zbase in members:
-        for perm in permutations(range(dim)):
-            verts2 = [zbase]
-            good = True
-            for step in perm:
-                nxt = list(verts2[-1])
-                nxt[step] += 1
-                verts2.append(tuple(nxt))
-                if verts2[-1] not in member_set:
-                    good = False
-                    break
-            if good:
-                yield verts2
+    steps = [next(i for i, (a, b) in enumerate(zip(u, w)) if a != b)
+             for u, w in zip(verts, verts[1:])]
+    members = [tuple(2 * b + o for b, o in zip(verts[0], off))
+               for off in product(range(3), repeat=n - 1)
+               if all(off[a] >= off[b] for a, b in zip(steps, steps[1:]))]
+    return _kuhn_cells(members, set(members).__contains__)
 
 
 def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
@@ -299,24 +270,15 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
 
     cache: dict = {}
 
-    def scan(m):
-        for verts in _cells_at(m, n):
-            if _fully_labeled(verts, m, n, s, lo_dom, width, vs, cache):
-                return verts
-        return None
+    def first_labeled(cells, m):
+        return next((verts for verts in cells if _fully_labeled(
+            verts, m, n, s, lo_dom, width, vs, cache)), None)
 
     def cell_allocation(verts, m):
-        dim = n - 1
         bary = tuple(Fraction(sum(y[i] for y in verts), n)
-                     for i in range(dim))
-        ks = [bary[0]] + [bary[i] - bary[i - 1] for i in range(1, dim)] \
-            + [m - bary[-1]]
-        lengths = tuple(Fraction(k, m) * width for k in ks)
-        pieces = SimplexPoint(lengths).to_pieces(s, lo_dom)
-        assignment = {}
-        for y in verts:
-            owner = _color(y, n)
-            assignment[owner] = cache[(m, y)]
+                     for i in range(n - 1))
+        pieces = _vertex_pieces(bary, m, n, s, lo_dom, width)
+        assignment = {_color(y, n): cache[(m, y)] for y in verts}
         alloc = {i: pieces[assignment[i]] for i in range(n)}
         values = [[v.value_between(p.left, p.right) for p in pieces]
                   for v in vs]
@@ -324,20 +286,15 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
                    for i in range(n) for j in range(n))
         return alloc, envy
 
-    m_global = 2
-    cell = scan(m_global)
-    if cell is None:
-        raise InternalError("a fully-labeled cell must exist")
-    m = m_global
+    m_global = m = 2
+    cell = first_labeled(_cells_at(m, n), m)
     for _ in range(512):
+        if cell is None:
+            raise InternalError("a fully-labeled cell must exist")
         alloc, envy = cell_allocation(cell, m)
         if envy <= eps:
             return Allocation(s, alloc, vs[0].topology)
-        sub = None
-        for verts2 in _refine_cell(cell, m, n):
-            if _fully_labeled(verts2, 2 * m, n, s, lo_dom, width, vs, cache):
-                sub = verts2
-                break
+        sub = first_labeled(_refine_cell(cell, m, n), 2 * m)
         if sub is not None:
             cell, m = sub, 2 * m
             continue
@@ -349,10 +306,8 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
             return Allocation(
                 s, {i: pieces[assignment[i]] for i in range(n)},
                 vs[0].topology)
-        cell = scan(m_global)
-        if cell is None:
-            raise InternalError("a fully-labeled cell must exist")
         m = m_global
+        cell = first_labeled(_cells_at(m, n), m)
     raise InternalError("refinement failed to reach the envy target")
 
 

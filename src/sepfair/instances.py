@@ -60,15 +60,18 @@ def parse_instance(data: dict) -> Instance:
     return Instance(topology, s, tuple(vs))
 
 
-def load_instance(path: str) -> Instance:
+def _read_json(path: str):
     with open(path) as fp:
         try:
-            data = json.load(fp)
+            return json.load(fp)
         except json.JSONDecodeError as exc:
             raise InputError(
                 f"{path}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from exc
-    return parse_instance(data)
+
+
+def load_instance(path: str) -> Instance:
+    return parse_instance(_read_json(path))
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -87,10 +90,6 @@ def save_instance(inst: Instance, path: str) -> None:
     with open(path, "w") as fp:
         json.dump(instance_to_json(inst), fp, indent=2)
         fp.write("\n")
-
-
-def interval_to_json(piece: Interval) -> dict:
-    return {"left": fmt(piece.left), "right": fmt(piece.right)}
 
 
 def allocation_to_json(alloc: Allocation, inst: Instance,
@@ -127,11 +126,4 @@ def parse_allocation(data: dict, inst: Instance) -> Allocation:
 
 
 def load_allocation(path: str, inst: Instance) -> Allocation:
-    with open(path) as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}") from exc
-    return parse_allocation(data, inst)
+    return parse_allocation(_read_json(path), inst)

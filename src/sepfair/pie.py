@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cake import (Allocation, _greater, approx_mms, mms_fair_allocation,
-                   ordinal_allocation_2n_minus_1)
+from .cake import (Allocation, _greater, _trivial_partition, approx_mms,
+                   mms_fair_allocation, ordinal_allocation_2n_minus_1)
 from .errors import InputError, InternalError, ProtocolError
 from .rationals import frac
 from .sessions import SubcakeSession
@@ -212,14 +212,9 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
     if best is None:
         # No mark-aligned partition at all: any piece worth more than
         # eps/2 contains a mark, so the true share is at most eps and
-        # r = 0 with an arbitrary valid partition meets the bracket.
-        piece_len = (ONE - k * s) / k
-        pieces = []
-        pos = ZERO
-        for _ in range(k):
-            pieces.append(Interval(pos % ONE, (pos + piece_len) % ONE))
-            pos += piece_len + s
-        return ZERO, PiePartition(s, tuple(pieces))
+        # r = 0 with equal pieces and the last separator ending at 1 meets
+        # the bracket.
+        return ZERO, PiePartition(s, _trivial_partition(k, s, ONE - s).pieces)
     return best
 
 

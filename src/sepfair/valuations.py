@@ -151,17 +151,18 @@ class PiecewiseConstantValuation:
         return self.value_between(piece.left, piece.right)
 
     def density_at(self, x: Fraction, side: int = +1) -> Fraction:
-        """Density just right (side=+1) or just left (side=-1) of ``x``."""
+        """Density just right (side=+1) or just left (side=-1) of ``x``.
+
+        Just left of 0 is the first segment on a cake and the last one on a
+        pie, which wraps round there."""
         x = frac(x)
+        j = bisect_right(self.breakpoints, x) - 1
         if side >= 0:
-            j = bisect_right(self.breakpoints, x) - 1
-            j = min(j, len(self.densities) - 1)
-        else:
-            j = bisect_right(self.breakpoints, x) - 1
-            if j >= 0 and self.breakpoints[j] == x:
-                j -= 1
-            j = max(j, 0)
-        return self.densities[j]
+            return self.densities[min(j, len(self.densities) - 1)]
+        if j >= 0 and self.breakpoints[j] == x:
+            j -= 1
+        return self.densities[max(j, 0) if self.topology is Topology.CAKE
+                              else j]
 
     def __eq__(self, other):
         return (isinstance(other, PiecewiseConstantValuation)

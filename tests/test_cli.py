@@ -165,6 +165,11 @@ def test_malformed_json_diagnostics(tmp_path, capsys):
     assert main(["mms-exact", "--instance", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    bad.write_text('{"allocation": [\n  {"agent": 0,,}]}')
+    assert main(["check", "--instance", THIRDS_PATH,
+                 "--allocation", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid JSON at line 2, column" in err
 
 
 def test_protocol_failure_exit_code(tmp_path, capsys):

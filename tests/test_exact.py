@@ -13,7 +13,8 @@ from sepfair.exact_mms import (IntervalList, LPInstance, _max_share,
                                solve_lp_exact)
 from sepfair.fairness import equitable_bisection, fairness_check, pie_equitable
 from sepfair.sessions import QuerySession
-from sepfair.valuations import Interval, PiecewiseConstantValuation, Topology
+from sepfair.valuations import (Interval, PiecewiseConstantValuation,
+                                Topology, minimum_window_value)
 
 from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, pie_enum_oracle,
                      pie_grid_oracle, random_separation, random_valuation,
@@ -155,7 +156,7 @@ class TestShareEngine:
             v = random_valuation(rng, max_segments=8, zero_prob=0.3)
             s = random_separation(rng, F(1, n - 1))
             share = cake_engine(v, n, s)
-            if not explicit_decide_greater(v, n, s, F(0), F(0), F(1)):
+            if not explicit_decide_greater(v, n, s, F(0)):
                 assert share == 0
                 continue
             sol = solve_lp_exact(
@@ -311,6 +312,12 @@ class TestPieExact:
         v = PiecewiseConstantValuation.normalized(
             ("0", "1/2", "1"), ("3", "1"), Topology.PIE)
         assert pie_exact_mms(v, 1, F(1, 4)) == 1 - F(1, 4) * F(1, 2)
+        rng = random.Random(31)
+        for _ in range(30):
+            v = random_valuation(rng, Topology.PIE, max_segments=6,
+                                 zero_prob=0.3)
+            s = random_separation(rng, F(1))
+            assert pie_exact_mms(v, 1, s) == 1 - minimum_window_value(v, s)
 
     def test_matches_grid_oracle_from_below(self):
         from helpers import pie_grid_oracle

@@ -6,10 +6,11 @@ import pytest
 from sepfair.cake import Allocation
 from sepfair.errors import InputError
 from sepfair.exact_mms import exact_mms, pie_exact_mms
-from sepfair.fairness import (FairnessReport, _envy_free_exact,
-                              _equitable_exact, envy_free_sperner,
-                              equitable_bisection, fairness_check,
-                              pie_envy_free, pie_equitable)
+from sepfair.fairness import (FairnessReport, _cells_at, _envy_free_exact,
+                              _equitable_exact, _refine_cell,
+                              envy_free_sperner, equitable_bisection,
+                              fairness_check, pie_envy_free, pie_equitable)
+from sepfair.sessions import QuerySession
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
                                 Topology, pieces_separated)
 
@@ -208,6 +209,42 @@ def test_vertex_labels_point_at_nonempty_pieces():
         pieces = _vertex_pieces(tuple(y), m, n, s, F(0), width)
         label = _favorite_piece(v, pieces)
         assert pieces[label].right - pieces[label].left > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_refinement_tiles_the_finer_grid(n):
+    # every cell halves into 2^(n-1) cells of the doubled grid, and together
+    # the halves are the doubled grid's cells, each once
+    for m in (1, 2, 4):
+        halves = []
+        for cell in _cells_at(m, n):
+            inside = list(_refine_cell(cell, m, n))
+            assert len(inside) == 2 ** (n - 1)
+            halves += [tuple(verts) for verts in inside]
+        assert len(set(halves)) == len(halves)
+        assert set(halves) == {tuple(verts) for verts in _cells_at(2 * m, n)}
+
+
+def test_explicit_solvers_open_no_session(monkeypatch):
+    # exact shares, audits and the envy-free and equitable solvers read the
+    # valuations directly: none of them opens a counted query session
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a query session was opened")
+
+    monkeypatch.setattr(QuerySession, "__init__", refuse)
+    rng = random.Random(72)
+    for topology in (Topology.CAKE, Topology.PIE):
+        vs = [random_valuation(rng, topology, max_segments=3)
+              for _ in range(2)]
+        s = random_separation(rng, F(1, 3))
+        if topology is Topology.CAKE:
+            exact_mms(vs[0], 3, s)
+            alloc = equitable_bisection(vs, s)
+            envy_free_sperner(vs, s, EF_EPS)
+        else:
+            pie_exact_mms(vs[0], 3, s)
+            alloc = pie_equitable(vs, s)
+        fairness_check(alloc, vs, s, topology)
 
 
 class TestFairnessCheck:

@@ -178,9 +178,18 @@ def test_cut_leftmost_rule(topology):
         if end is not None:
             assert x <= y <= end
         if alpha > 0:
-            # just left of 0 on a pie is the last segment
-            left = (v.densities[-1] if y == 0 else v.density_at(y, -1))
-            assert left > 0, (v, x, end, alpha, y)
+            assert v.density_at(y, -1) > 0, (v, x, end, alpha, y)
+
+
+def test_density_left_of_zero():
+    # just left of 0 is the last segment on a pie, the first on a cake
+    bps, dens = ("0", "1/4", "1/2", "1"), ("2", "0", "1")
+    pie = PiecewiseConstantValuation(bps, dens, Topology.PIE)
+    cake = PiecewiseConstantValuation(bps, dens, Topology.CAKE)
+    assert pie.density_at(0, -1) == 1
+    assert cake.density_at(0, -1) == 2
+    assert pie.density_at(F(1, 4), -1) == cake.density_at(F(1, 4), -1) == 2
+    assert pie.density_at(0, +1) == cake.density_at(0, +1) == 2
 
 
 def test_cut_leftmost_wraps_on_a_pie():

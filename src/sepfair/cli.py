@@ -18,6 +18,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,7 +39,10 @@ from .sessions import QuerySession
 from .valuations import Topology
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by
+    every ``main`` call in the process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="sepfair",
         description="Fair division of an interval or circular resource "
@@ -133,7 +137,6 @@ def run(args) -> tuple:
         return 0, _run_adversary(args)
 
     inst = load_instance(args.instance)
-    sessions = [QuerySession(v) for v in inst.agents]
     out: dict = {}
     transcript_sessions = []
 
@@ -151,7 +154,7 @@ def run(args) -> tuple:
 
     elif args.command == "mms-approx":
         eps = frac(args.epsilon)
-        sess = sessions[args.agent]
+        sess = QuerySession(inst.agents[args.agent])
         if inst.topology is Topology.CAKE:
             n = args.n if args.n is not None else inst.n
             r, part = approx_mms(sess, n, inst.s, eps)
@@ -172,7 +175,7 @@ def run(args) -> tuple:
             raise InputError(
                 "share decisions against a general r exist on cakes only")
         n = args.n if args.n is not None else inst.n
-        sess = sessions[args.agent]
+        sess = QuerySession(inst.agents[args.agent])
         answer, witness = decide(sess, n, inst.s, frac(args.r),
                                  Relation(args.rel))
         out = {"agent": args.agent, "n": n, "rel": args.rel,
@@ -182,12 +185,12 @@ def run(args) -> tuple:
         transcript_sessions = [sess]
 
     elif args.command == "allocate":
-        out, transcript_sessions = _run_allocate(args, inst, sessions)
+        out, transcript_sessions = _run_allocate(args, inst)
 
     elif args.command == "pie-decide":
         if inst.topology is not Topology.PIE:
             raise InputError("pie-decide needs a pie instance")
-        sess = sessions[args.agent]
+        sess = QuerySession(inst.agents[args.agent])
         if args.mode == "one-over-k":
             answer, witness = pie_decide_equals_one_over_k(
                 sess, args.k, inst.s)
@@ -229,7 +232,7 @@ def _parse_ells(text: str, n: int):
     return [int(t) for t in parts]
 
 
-def _run_allocate(args, inst, sessions):
+def _run_allocate(args, inst):
     n = inst.n
     eps = frac(args.epsilon) if args.epsilon is not None else None
     if args.criterion == "mms":
@@ -238,14 +241,15 @@ def _run_allocate(args, inst, sessions):
                              "use --criterion ordinal for a pie")
         if eps is None:
             alloc = exact_mms_allocation(inst.agents, inst.s)
-            queries = None
-        else:
-            thresholds = [approx_mms(sess, n, inst.s, eps)[0]
-                          for sess in sessions]
-            alloc = mms_fair_allocation(sessions, inst.s, thresholds)
-            queries = sum(sess.query_count for sess in sessions)
+            return (allocation_to_json(alloc, inst, None), [])
+        sessions = [QuerySession(v) for v in inst.agents]
+        thresholds = [approx_mms(sess, n, inst.s, eps)[0]
+                      for sess in sessions]
+        alloc = mms_fair_allocation(sessions, inst.s, thresholds)
+        queries = sum(sess.query_count for sess in sessions)
         return (allocation_to_json(alloc, inst, queries), sessions)
     if args.criterion == "ordinal":
+        sessions = [QuerySession(v) for v in inst.agents]
         if inst.topology is Topology.CAKE:
             alloc = ordinal_allocation_2n_minus_1(sessions, inst.s)
         else:

@@ -547,9 +547,10 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
         return ZERO
 
     p = v.breakpoints
-    bps = p + tuple(ONE + b for b in p[1:])
+    # from lists: tuple(<genexpr>) shrinks onto a free list
+    bps = p + tuple([ONE + b for b in p[1:]])
     dens = v.densities * 2
-    prefix = v._prefix + tuple(ONE + x for x in v._prefix[1:])
+    prefix = v._prefix + tuple([ONE + x for x in v._prefix[1:]])
     openings = sorted({z % ONE for b in p for z in (b, b + s)})
     return max(_max_share([(bps, dens, prefix)] * k, z, z + ONE - s, s)
                for z in openings)

@@ -141,7 +141,8 @@ def _pieces_at(xs, s, lo, hi) -> Optional[Tuple[Interval, ...]]:
     lefts, rights = (lo, *(x + s for x in xs)), (*xs, hi)
     if any(a > b for a, b in zip(lefts, rights)):
         return None
-    return tuple(Interval(a, b) for a, b in zip(lefts, rights))
+    # from a list: tuple(<genexpr>) shrinks onto a free list
+    return tuple([Interval(a, b) for a, b in zip(lefts, rights)])
 
 
 def _equitable_exact(vs, s, order, lo, hi) -> Tuple[Interval, ...]:
@@ -232,7 +233,7 @@ def _fully_labeled(verts, m, n, s, lo, width, vs, cache):
     return len(labels) == n
 
 
-def _refine_cell(verts, m: int, n: int):
+def _refine_cell(verts, n: int):
     """Cells of the doubled grid inside one staircase cell.
 
     The cell is {base + sum mu_t e_steps[t] : 1 >= mu_0 >= ... >= 0}, where
@@ -242,7 +243,8 @@ def _refine_cell(verts, m: int, n: int):
     """
     steps = [next(i for i, (a, b) in enumerate(zip(u, w)) if a != b)
              for u, w in zip(verts, verts[1:])]
-    members = [tuple(2 * b + o for b, o in zip(verts[0], off))
+    # from a list: tuple(<genexpr>) shrinks onto a free list
+    members = [tuple([2 * b + o for b, o in zip(verts[0], off)])
                for off in product(range(3), repeat=n - 1)
                if all(off[a] >= off[b] for a, b in zip(steps, steps[1:]))]
     return _kuhn_cells(members, set(members).__contains__)
@@ -275,8 +277,9 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
             verts, m, n, s, lo_dom, width, vs, cache)), None)
 
     def cell_allocation(verts, m):
-        bary = tuple(Fraction(sum(y[i] for y in verts), n)
-                     for i in range(n - 1))
+        # from a list: tuple(<genexpr>) shrinks onto a free list
+        bary = tuple([Fraction(sum(y[i] for y in verts), n)
+                      for i in range(n - 1)])
         pieces = _vertex_pieces(bary, m, n, s, lo_dom, width)
         assignment = {_color(y, n): cache[(m, y)] for y in verts}
         alloc = {i: pieces[assignment[i]] for i in range(n)}
@@ -294,7 +297,7 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
         alloc, envy = cell_allocation(cell, m)
         if envy <= eps:
             return Allocation(s, alloc, vs[0].topology)
-        sub = first_labeled(_refine_cell(cell, m, n), 2 * m)
+        sub = first_labeled(_refine_cell(cell, n), 2 * m)
         if sub is not None:
             cell, m = sub, 2 * m
             continue

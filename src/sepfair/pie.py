@@ -121,8 +121,9 @@ def pie_decide_equals_one_over_k(sess, k: int,
             cuts.append(nxt)
         if not works:
             continue
-        pieces = tuple(Interval((cuts[j] + s) % ONE, cuts[j + 1])
-                       for j in range(k))
+        # from a list: tuple(<genexpr>) shrinks onto a free list
+        pieces = tuple([Interval((cuts[j] + s) % ONE, cuts[j + 1])
+                        for j in range(k)])
         # Geometry check (no queries): pieces plus separators must fit
         # around the circle at most once.
         used = sum(((c2 - c1) % ONE for c1, c2 in zip(cuts, cuts[1:])),
@@ -238,7 +239,8 @@ def _greedy_from_marks(pos, cum, i, e, s, k):
         ends.append((t, at))
     if pos[at] + s > pos[last]:
         return None                  # wrap-around separator does not fit
-    return tuple(Interval(pos[a] % ONE, pos[b] % ONE) for a, b in ends)
+    # from a list: tuple(<genexpr>) shrinks onto a free list
+    return tuple([Interval(pos[a] % ONE, pos[b] % ONE) for a, b in ends])
 
 
 def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",

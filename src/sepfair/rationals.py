@@ -18,7 +18,13 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
         try:
+            # "123" and "123/456" in ASCII digits skip Fraction's regex;
+            # anything else (signs, spaces, "_", decimals) goes through it.
+            if (num.isascii() and num.isdigit()
+                    and (not slash or den.isascii() and den.isdigit())):
+                return Fraction(int(num), int(den) if slash else 1)
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {x!r}") from exc

@@ -16,6 +16,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -72,27 +73,35 @@ class PiecewiseConstantValuation:
 
     def __init__(self, breakpoints: Sequence, densities: Sequence,
                  topology: Topology = Topology.CAKE):
-        bps = tuple(frac(p) for p in breakpoints)
-        dens = tuple(frac(g) for g in densities)
+        # Tuples from lists: tuple(<genexpr>) shrinks onto a free list.
+        bps = tuple([frac(p) for p in breakpoints])
+        dens = tuple([frac(g) for g in densities])
         if len(bps) < 2 or len(dens) != len(bps) - 1:
             raise InputError("need d+1 breakpoints and d densities")
         if bps[0] != 0 or bps[-1] != 1:
             raise InputError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        # Prefix sums in integers: breakpoints scaled by the lcm of their
+        # denominators, densities by the lcm of theirs.
+        x_den = lcm(*[p.denominator for p in bps])
+        g_den = lcm(*[g.denominator for g in dens])
+        xs = [p.numerator * (x_den // p.denominator) for p in bps]
+        if any(a >= b for a, b in zip(xs, xs[1:])):
             raise InputError("breakpoints must be strictly increasing")
-        if any(g < 0 for g in dens):
+        if any(g.numerator < 0 for g in dens):
             raise InputError("densities must be nonnegative")
-        prefix = [ZERO]
-        for (a, b), g in zip(zip(bps, bps[1:]), dens):
-            prefix.append(prefix[-1] + g * (b - a))
-        if prefix[-1] != 1:
-            raise InputError(
-                f"valuation not normalized: total value is {prefix[-1]}"
-            )
+        total = 0
+        sums = [0]
+        for a, b, g in zip(xs, xs[1:], dens):
+            total += g.numerator * (g_den // g.denominator) * (b - a)
+            sums.append(total)
+        unit = x_den * g_den
+        if total != unit:
+            raise InputError("valuation not normalized: total value is "
+                             f"{Fraction(total, unit)}")
         self.topology = Topology(topology)
         self.breakpoints = bps
         self.densities = dens
-        self._prefix = tuple(prefix)
+        self._prefix = tuple([Fraction(q, unit) for q in sums])
 
     # -- construction helpers -------------------------------------------------
 
@@ -246,7 +255,7 @@ def flip(v: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
     """Reflect the cake: the result values [a, b] like v values [1-b, 1-a]."""
     if v.topology is not Topology.CAKE:
         raise InputError("flip is defined on the cake only")
-    bps = tuple(ONE - p for p in reversed(v.breakpoints))
+    bps = [ONE - p for p in reversed(v.breakpoints)]
     dens = tuple(reversed(v.densities))
     return PiecewiseConstantValuation(bps, dens, Topology.CAKE)
 

@@ -1,7 +1,11 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+
+import pytest
 
 from sepfair.cli import main
 from sepfair.exact_mms import exact_mms, pie_exact_mms
@@ -14,6 +18,9 @@ THIRDS_PATH = os.path.join(HERE, os.pardir, "instances", "thirds.json")
 UNI2_PATH = os.path.join(HERE, os.pardir, "instances", "uniform2.json")
 UNI2_PIE_PATH = os.path.join(HERE, os.pardir, "instances",
                              "uniform2_pie.json")
+SRC = os.path.join(HERE, os.pardir, "src")
+SUBCOMMANDS = ("mms-exact", "mms-approx", "decide", "allocate",
+               "pie-decide", "check", "adversary")
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +301,50 @@ def test_check_three_agent_pie(tmp_path, capsys):
     assert report["mms_dominance"] == [
         v.value_between(x, x + w) >= pie_exact_mms(v, 4, s)
         for v, x in zip(vs, lefts)]
+
+
+def run_fresh(*argv):
+    """The CLI in a new interpreter, so with a newly built parser."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "sepfair.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_parser_reuse_matches_fresh_process(tmp_path, capsys):
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({
+        "topology": "cake", "s": "1/3",
+        "allocation": [{"agent": 0, "left": "0", "right": "1/3"},
+                       {"agent": 1, "left": "2/3", "right": "1"}]}))
+    calls = [
+        ["mms-exact", "--instance", THIRDS_PATH, "--n", "2"],
+        ["mms-approx", "--instance", THIRDS_PATH, "--epsilon", "1/64"],
+        ["decide", "--rel", "greater", "--r", "2/5", "--instance",
+         THIRDS_PATH],
+        ["allocate", "--criterion", "mms", "--instance", THIRDS_PATH],
+        ["pie-decide", "--mode", "one-over-k", "--k", "2", "--instance",
+         UNI2_PIE_PATH],
+        ["check", "--instance", THIRDS_PATH, "--allocation", str(alloc)],
+        ["adversary", "findsum", "--s", "1/10", "--budget", "6",
+         "--float"],
+    ]
+    assert [argv[0] for argv in calls] == list(SUBCOMMANDS)
+    # argparse rejecting one call leaves the shared parser as it was
+    with pytest.raises(SystemExit):
+        main(["decide", "--instance", THIRDS_PATH, "--rel", "most"])
+    capsys.readouterr()
+    for argv in calls:
+        assert main(argv) == 0
+        fresh = run_fresh(*argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout
+
+
+def test_help_lists_every_subcommand():
+    proc = run_fresh("--help")
+    assert proc.returncode == 0
+    for name in SUBCOMMANDS:
+        assert name in proc.stdout

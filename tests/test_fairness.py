@@ -218,7 +218,7 @@ def test_refinement_tiles_the_finer_grid(n):
     for m in (1, 2, 4):
         halves = []
         for cell in _cells_at(m, n):
-            inside = list(_refine_cell(cell, m, n))
+            inside = list(_refine_cell(cell, n))
             assert len(inside) == 2 ** (n - 1)
             halves += [tuple(verts) for verts in inside]
         assert len(set(halves)) == len(halves)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepfair.errors import InputError
+from sepfair.rationals import frac
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
                                 Topology, cut_leftmost, cut_rightmost, flip,
                                 minimum_window_value, value,
@@ -43,6 +44,75 @@ def test_pie_wrapping_value():
 def test_normalization_enforced():
     with pytest.raises(InputError):
         PiecewiseConstantValuation((0, 1), (F(1, 2),))
+
+
+@pytest.mark.parametrize("text", [
+    "3/", "/3", "/", "", "0/0", "1/0", " 1/3", "1 /3", "+2", "-1/3",
+    "00/004", "1_0/3", "\u0663/4", "1.5", "1e3", "abc", "12", "6/4",
+    "\u00b2/3", "1" * 5000])
+def test_frac_matches_fraction(text):
+    # the digit fast path agrees with Fraction's parser, errors included
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InputError) as info:
+            frac(text)
+        assert str(info.value) == f"not a rational number: {text!r}"
+        assert type(info.value.__cause__) is type(exc)
+        assert str(info.value.__cause__) == str(exc)
+    else:
+        got = frac(text)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+
+
+def _running_sum(v):
+    prefix = [F(0)]
+    for a, b, g in zip(v.breakpoints, v.breakpoints[1:], v.densities):
+        prefix.append(prefix[-1] + g * (b - a))
+    return prefix
+
+
+def test_prefix_matches_fraction_running_sum():
+    rng = random.Random(20)
+    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
+              10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141]
+    for trial in range(60):
+        topology = (Topology.CAKE, Topology.PIE)[trial % 2]
+        if trial % 3:
+            v = random_valuation(rng, topology, max_segments=12)
+        else:
+            # pairwise-coprime denominators on breakpoints and weights
+            d = rng.randint(1, 7)
+            dens = rng.sample(primes, 2 * d)
+            cuts = sorted(F(rng.randrange(1, q), q) for q in dens[:d - 1])
+            weights = [F(rng.randint(0, 3 * q), q) for q in dens[d:]]
+            weights[rng.randrange(d)] += 1
+            v = PiecewiseConstantValuation.normalized(
+                [0] + cuts + [1], weights, topology)
+        assert type(v._prefix) is tuple
+        assert all(type(q) is F for q in v._prefix)
+        assert list(v._prefix) == _running_sum(v)
+
+
+@pytest.mark.parametrize("bps, dens, message", [
+    ((0,), (), "need d+1 breakpoints and d densities"),
+    ((0, 1), (1, 1), "need d+1 breakpoints and d densities"),
+    (("1/5", 1), (1,), "breakpoints must start at 0 and end at 1"),
+    ((0, "1/2", "1/2", 1), (1, 1, 1),
+     "breakpoints must be strictly increasing"),
+    ((0, "2/3", "1/3", 1), (1, -1, 1),
+     "breakpoints must be strictly increasing"),
+    ((0, "1/2", 1), ("5/2", "-1/2"), "densities must be nonnegative"),
+    ((0, "1/3", 1), ("1/2", "3/7"),
+     "valuation not normalized: total value is 19/42"),
+    ((0, "1/4", 1), (2, 2), "valuation not normalized: total value is 2"),
+])
+def test_construction_errors(bps, dens, message):
+    with pytest.raises(InputError) as info:
+        PiecewiseConstantValuation(bps, dens)
+    assert str(info.value) == message
 
 
 def test_cut_leftmost_uniform():

@@ -17,15 +17,14 @@ from .exact_mms import (IntervalList, LPInstance, LPSolution,
                         brute_mms_interval_enum, exact_mms,
                         exact_mms_allocation, pie_exact_mms,
                         select_interval_list, solve_lp_exact)
-from .fairness import (FairnessReport, SimplexPoint, envy_free_sperner,
+from .fairness import (FairnessReport, envy_free_sperner,
                        equitable_bisection, fairness_check, pie_envy_free,
                        pie_equitable)
 from .instances import Instance, load_instance, parse_instance, save_instance
 from .pie import (PiePartition, pie_allocation_ordinal, pie_approx_mms,
                   pie_decide_equals_one_over_k, pie_decide_positive,
                   pie_via_cake_allocation)
-from .sessions import QueryRecord, QuerySession, SubcakeSession, \
-    flipped_session
+from .sessions import QueryRecord, QuerySession, SubcakeSession
 from .valuations import (Interval, PiecewiseConstantValuation, Topology,
                          cut_leftmost, cut_rightmost, flip,
                          minimum_window_value, value)
@@ -39,14 +38,14 @@ __all__ = [
     "IntervalList", "LPInstance", "LPSolution", "brute_mms_interval_enum",
     "exact_mms", "exact_mms_allocation", "pie_exact_mms",
     "select_interval_list", "solve_lp_exact",
-    "FairnessReport", "SimplexPoint", "envy_free_sperner",
+    "FairnessReport", "envy_free_sperner",
     "equitable_bisection", "fairness_check", "pie_envy_free",
     "pie_equitable",
     "Instance", "load_instance", "parse_instance", "save_instance",
     "PiePartition", "pie_allocation_ordinal", "pie_approx_mms",
     "pie_decide_equals_one_over_k", "pie_decide_positive",
     "pie_via_cake_allocation",
-    "QueryRecord", "QuerySession", "SubcakeSession", "flipped_session",
+    "QueryRecord", "QuerySession", "SubcakeSession",
     "Interval", "PiecewiseConstantValuation", "Topology", "cut_leftmost",
     "cut_rightmost", "flip", "minimum_window_value", "value",
 ]

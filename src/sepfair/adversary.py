@@ -32,7 +32,7 @@ from .errors import InputError, InternalError
 from .exact_mms import exact_mms
 from .pie import PiePartition
 from .rationals import frac
-from .sessions import QueryRecord, replay_answer
+from .sessions import QueryRecord, replay_consistent
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
                          Topology, cut_leftmost, minimum_window_value)
 
@@ -134,21 +134,6 @@ class FindSumAdversary:
         return PiecewiseConstantValuation(bps, dens, Topology.CAKE)
 
 
-def findsum_answer(sess: FindSumAdversary, query) -> Fraction:
-    """Answer one query against the hidden function: ("g", x) or
-    ("g_inverse", alpha)."""
-    kind, arg = query
-    if kind == "g":
-        return sess.g_value(arg)
-    if kind == "g_inverse":
-        return sess.g_inverse(arg)
-    raise InputError(f"unknown query kind {kind!r}")
-
-
-def findsum_finalize(sess: FindSumAdversary, x0):
-    return sess.finalize(x0)
-
-
 class MmsReductionSession:
     """Session facade over a FindSum adversary, imitating the valuation
     v(x, y) = g(y) - g(x); this is the reduction showing that an exact
@@ -156,6 +141,7 @@ class MmsReductionSession:
 
     def __init__(self, adversary: FindSumAdversary):
         self.adversary = adversary
+        # not a sessions._SharedState, so queries_per_op leaves these out
         self._records: List[QueryRecord] = []
 
     topology = Topology.CAKE
@@ -188,17 +174,6 @@ class MmsReductionSession:
         return answer
 
 
-def rw_mms_adversary(sess: MmsReductionSession, rw_query):
-    """Answer one standard two-query-model request ("eval", x, y) or
-    ("cut", x, alpha) through the FindSum reduction."""
-    kind, *args = rw_query
-    if kind == "eval":
-        return sess.eval(*args)
-    if kind == "cut":
-        return sess.cut(*args)
-    raise InputError(f"unknown query kind {kind!r}")
-
-
 def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
     """Run a deterministic exact-share claimant against the adversary.
 
@@ -218,9 +193,8 @@ def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
         adv.finalize(x0)
     valuation = adv.to_valuation()
     actual, _ = exact_mms(valuation, 2, s)
-    for rec in sess.transcript:
-        if replay_answer(valuation, rec) != rec.answer:
-            raise InternalError("finalized valuation broke the transcript")
+    if not replay_consistent(valuation, sess.transcript):
+        raise InternalError("finalized valuation broke the transcript")
     return {
         "claimed": claim,
         "actual": actual,
@@ -289,6 +263,7 @@ class HasLowValueAdversary:
             (base, self.q / self.s, base), Topology.PIE)
         self.recorded = {ZERO}
         self.finalized_valuation: Optional[PiecewiseConstantValuation] = None
+        # not a sessions._SharedState, so queries_per_op leaves these out
         self._records: List[QueryRecord] = []
 
     @property
@@ -422,9 +397,8 @@ def falsify_window_solver(solver: Callable, s, q, budget: int) -> dict:
     queries_used = adv.query_count
     revealed = adv.reveal_for_yes() if answer else adv.reveal_for_no()
     low = minimum_window_value(revealed, s)
-    for rec in adv.transcript:
-        if replay_answer(revealed, rec) != rec.answer:
-            raise InternalError("revealed valuation broke the transcript")
+    if not replay_consistent(revealed, adv.transcript):
+        raise InternalError("revealed valuation broke the transcript")
     return {
         "answer": answer,
         "window_min": low,

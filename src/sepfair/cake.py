@@ -247,9 +247,10 @@ def ordinal_allocation_2n_minus_1(sessions: Sequence, s) -> Allocation:
 
     A knife sweeps rightward in steps of exactly s (final position clamps
     to the domain end).  After each step every remaining agent is asked,
-    via an eval and a flipped strictly-greater test, whether the piece left
-    of the knife already meets her 1-out-of-(2n-1) guarantee; the first who
-    agrees takes it.
+    via an eval and the strictly-greater test ``_greater`` (leftmost cuts
+    from 0 on running prefix targets), whether the piece left of the knife
+    already meets her 1-out-of-(2n-1) guarantee; the first who agrees
+    takes it.
     """
     n = len(sessions)
     s = frac(s)

@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="display numbers as floats instead of rationals")
     common.add_argument("--transcript", metavar="PATH",
                         help="write the query transcript as JSON lines")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized demos (unused by exact runs)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -154,7 +152,7 @@ def run(args) -> tuple:
 
     elif args.command == "mms-approx":
         eps = frac(args.epsilon)
-        sess = QuerySession(inst.agents[args.agent])
+        sess = QuerySession(_agent_valuation(inst, args.agent))
         if inst.topology is Topology.CAKE:
             n = args.n if args.n is not None else inst.n
             r, part = approx_mms(sess, n, inst.s, eps)
@@ -175,7 +173,7 @@ def run(args) -> tuple:
             raise InputError(
                 "share decisions against a general r exist on cakes only")
         n = args.n if args.n is not None else inst.n
-        sess = QuerySession(inst.agents[args.agent])
+        sess = QuerySession(_agent_valuation(inst, args.agent))
         answer, witness = decide(sess, n, inst.s, frac(args.r),
                                  Relation(args.rel))
         out = {"agent": args.agent, "n": n, "rel": args.rel,
@@ -190,7 +188,7 @@ def run(args) -> tuple:
     elif args.command == "pie-decide":
         if inst.topology is not Topology.PIE:
             raise InputError("pie-decide needs a pie instance")
-        sess = QuerySession(inst.agents[args.agent])
+        sess = QuerySession(_agent_valuation(inst, args.agent))
         if args.mode == "one-over-k":
             answer, witness = pie_decide_equals_one_over_k(
                 sess, args.k, inst.s)

@@ -45,22 +45,6 @@ from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
-    """Lengths of the n pieces of an exactly separated partition; they are
-    nonnegative and sum to (domain length) - (n-1)s."""
-
-    lengths: Tuple[Fraction, ...]
-
-    def to_pieces(self, s: Fraction, lo: Fraction) -> Tuple[Interval, ...]:
-        pieces = []
-        pos = lo
-        for b in self.lengths:
-            pieces.append(Interval(pos, pos + b))
-            pos += b + s
-        return tuple(pieces)
-
-
-@dataclass(frozen=True)
 class FairnessReport:
     envy_max: Fraction
     equitability_gap: Fraction
@@ -181,10 +165,9 @@ def _color(y: Tuple[int, ...], n: int) -> int:
 
 
 def _vertex_pieces(y, m, n, s, lo, width):
-    ks = [y[0]] + [y[i] - y[i - 1] for i in range(1, n - 1)] + [m - y[-1]] \
-        if n > 1 else [m]
-    lengths = [Fraction(k, m) * width for k in ks]
-    return SimplexPoint(tuple(lengths)).to_pieces(s, lo)
+    return _pieces_at([lo + Fraction(k, m) * width + i * s
+                       for i, k in enumerate(y)],
+                      s, lo, lo + width + (n - 1) * s)
 
 
 def _favorite_piece(v, pieces) -> int:

@@ -1,31 +1,27 @@
 """Query sessions: the only channel between protocols and valuations.
 
-A :class:`QuerySession` hides a valuation behind the two standard queries,
-``eval(x, y)`` and ``cut(x, alpha)``, counting every answered query and
-recording a transcript.  Protocol code in :mod:`sepfair.cake` and
+A :class:`QuerySession` hides one valuation behind the two standard
+queries, ``eval(x, y)`` and ``cut(x, alpha)``, counting every answered
+query and recording a transcript.  Protocol code in :mod:`sepfair.cake` and
 :mod:`sepfair.pie` never touches a valuation directly; anything with the
 same ``eval``/``cut``/``domain_end`` surface (mocks, adversaries) can be
 substituted.
 
-Derived sessions share their parent's counter and transcript:
-
-* ``flipped()`` answers over the reflected cake (one derived query costs
-  one parent query);
-* :class:`SubcakeSession` exposes a sub-arc of a pie as a cake with
-  coordinates starting at 0.
+A :class:`SubcakeSession` exposes a sub-arc of a pie session as a cake with
+coordinates starting at 0; its queries are counted and recorded by the
+parent session.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .errors import InputError
 from .rationals import fmt, frac
 from .valuations import (ONE, ZERO, PiecewiseConstantValuation, Topology,
-                         cut_leftmost, flip)
+                         cut_leftmost)
 
 
 @dataclass(frozen=True)
@@ -33,18 +29,15 @@ class QueryRecord:
     kind: str                      # "eval" or "cut"
     args: tuple                    # (x, y) or (x, alpha)
     answer: Optional[Fraction]
-    flipped: bool = False          # answered on the reflected cake
 
     def to_json(self, index: int) -> dict:
-        args = [fmt(a) for a in self.args]
-        out = {"index": index, "kind": self.kind, "args": args,
-               "answer": None if self.answer is None else fmt(self.answer)}
-        if self.flipped:
-            out["flipped"] = True
-        return out
+        return {"index": index, "kind": self.kind,
+                "args": [fmt(a) for a in self.args],
+                "answer": None if self.answer is None else fmt(self.answer)}
 
 
 class _SharedState:
+    # One per QuerySession: bench/run.py counts queries_per_op via __init__.
     __slots__ = ("records",)
 
     def __init__(self):
@@ -52,27 +45,19 @@ class _SharedState:
 
 
 class QuerySession:
-    """Two-query (eval/cut) oracle over one hidden valuation."""
+    """Two-query (eval/cut) oracle over one hidden valuation.
 
-    def __init__(self, valuation: PiecewiseConstantValuation,
-                 _state: Optional[_SharedState] = None, _flipped: bool = False):
+    Protocols may rely on ``topology``, ``domain_end`` and ``known_total``
+    only; valuations are normalized, so the whole domain is worth 1.
+    """
+
+    domain_end = ONE
+    known_total = ONE
+
+    def __init__(self, valuation: PiecewiseConstantValuation):
         self._valuation = valuation
-        self._state = _state if _state is not None else _SharedState()
-        self._flipped = _flipped
-
-    # protocols may rely on these three attributes only
-    @property
-    def topology(self) -> Topology:
-        return self._valuation.topology
-
-    @property
-    def domain_end(self) -> Fraction:
-        return ONE
-
-    @property
-    def known_total(self) -> Optional[Fraction]:
-        # Valuations are normalized, so the whole domain is worth exactly 1.
-        return ONE
+        self.topology = valuation.topology
+        self._state = _SharedState()
 
     @property
     def query_count(self) -> int:
@@ -81,9 +66,6 @@ class QuerySession:
     @property
     def transcript(self) -> List[QueryRecord]:
         return list(self._state.records)
-
-    def _record(self, kind, args, answer, flipped=False):
-        self._state.records.append(QueryRecord(kind, args, answer, flipped))
 
     def _check_point(self, x: Fraction) -> Fraction:
         if self.topology is Topology.CAKE:
@@ -108,7 +90,7 @@ class QuerySession:
             answer = ONE           # clockwise all the way around
         else:
             answer = self._valuation.value_between(x, y)
-        self._record("eval", (x, y), answer, self._flipped)
+        self._state.records.append(QueryRecord("eval", (x, y), answer))
         return answer
 
     def cut(self, x, alpha) -> Optional[Fraction]:
@@ -120,37 +102,8 @@ class QuerySession:
         if not (ZERO <= alpha <= ONE):
             raise InputError(f"cut target {alpha} outside [0, 1]")
         answer = cut_leftmost(self._valuation, x, alpha)
-        self._record("cut", (x, alpha), answer, self._flipped)
+        self._state.records.append(QueryRecord("cut", (x, alpha), answer))
         return answer
-
-    def flipped(self) -> "QuerySession":
-        """Session over the reflected cake, sharing this session's counter.
-
-        A derived eval(x, y) answers v(1-y, 1-x); a derived cut asks for
-        a leftmost point on the reflected cake, which corresponds to a
-        rightmost cut in original coordinates.  It still costs one query
-        here, by the identity v(x, 1) = 1 - v(0, x).
-        """
-        if self.topology is not Topology.CAKE:
-            raise InputError("only a cake session can be flipped")
-        return QuerySession(flip(self._valuation), self._state,
-                            not self._flipped)
-
-    # -- transcript utilities ---------------------------------------------
-
-    def export_transcript(self, fp) -> None:
-        """Write the transcript as JSON lines to a file object."""
-        for i, rec in enumerate(self._state.records):
-            fp.write(json.dumps(rec.to_json(i)) + "\n")
-
-    def replay_consistent(self,
-                          valuation: PiecewiseConstantValuation) -> bool:
-        """Replay every recorded query against ``valuation`` and compare."""
-        for rec in self._state.records:
-            v = flip(valuation) if rec.flipped else valuation
-            if replay_answer(v, rec) != rec.answer:
-                return False
-        return True
 
 
 def replay_answer(valuation: PiecewiseConstantValuation, rec: QueryRecord):
@@ -164,8 +117,10 @@ def replay_answer(valuation: PiecewiseConstantValuation, rec: QueryRecord):
     return cut_leftmost(valuation, *rec.args)
 
 
-def flipped_session(sess: QuerySession) -> QuerySession:
-    return sess.flipped()
+def replay_consistent(valuation: PiecewiseConstantValuation,
+                      records: Iterable[QueryRecord]) -> bool:
+    """Whether ``valuation`` gives every recorded answer again."""
+    return all(replay_answer(valuation, rec) == rec.answer for rec in records)
 
 
 class SubcakeSession:
@@ -176,35 +131,25 @@ class SubcakeSession:
     still counted by the parent).
     """
 
+    topology = Topology.CAKE
+
     def __init__(self, parent, offset, length,
                  known_total: Optional[Fraction] = None):
         if parent.topology is not Topology.PIE:
             raise InputError("SubcakeSession wraps a pie session")
         self._parent = parent
         self.offset = frac(offset) % ONE
-        self._length = frac(length)
-        self._known_total = known_total
-        if not (ZERO < self._length <= ONE):
+        self.domain_end = frac(length)
+        self.known_total = known_total
+        if not (ZERO < self.domain_end <= ONE):
             raise InputError("subcake length must be in (0, 1]")
-
-    @property
-    def topology(self) -> Topology:
-        return Topology.CAKE
-
-    @property
-    def domain_end(self) -> Fraction:
-        return self._length
-
-    @property
-    def known_total(self) -> Optional[Fraction]:
-        return self._known_total
 
     @property
     def query_count(self) -> int:
         return self._parent.query_count
 
     def _to_pie(self, x: Fraction) -> Fraction:
-        if not (ZERO <= x <= self._length):
+        if not (ZERO <= x <= self.domain_end):
             raise InputError(f"coordinate {x} outside the subcake")
         return (self.offset + x) % ONE
 
@@ -221,6 +166,6 @@ class SubcakeSession:
         if answer is None:
             return None
         arc = (answer - anchor) % ONE
-        if arc > self._length - x:
+        if arc > self.domain_end - x:
             return None            # the cut left the arc: not enough value
         return x + arc

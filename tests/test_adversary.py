@@ -6,13 +6,12 @@ import pytest
 from sepfair.adversary import (FindSumAdversary, HasLowValueAdversary,
                                MmsReductionSession, bisection_share_candidate,
                                cut_walk_candidate, falsify_share_solver,
-                               falsify_window_solver, findsum_answer,
-                               findsum_finalize, grid_eval_share_candidate,
-                               pie_threshold_witnesses, rw_mms_adversary,
-                               window_scan_candidate)
+                               falsify_window_solver,
+                               grid_eval_share_candidate,
+                               pie_threshold_witnesses, window_scan_candidate)
 from sepfair.errors import InputError
 from sepfair.exact_mms import pie_exact_mms
-from sepfair.sessions import QueryRecord, replay_answer
+from sepfair.sessions import QueryRecord, replay_consistent
 from sepfair.valuations import minimum_window_value
 
 from helpers import pie_grid_oracle
@@ -21,12 +20,12 @@ from helpers import pie_grid_oracle
 class TestFindSum:
     def test_endpoints_prerecorded(self):
         adv = FindSumAdversary(F(1, 10))
-        assert findsum_answer(adv, ("g", F(0))) == 0
-        assert findsum_answer(adv, ("g", F(1))) == 1
+        assert adv.g_value(F(0)) == 0
+        assert adv.g_value(F(1)) == 1
 
     def test_inverse_avoids_recorded_offsets(self):
         adv = FindSumAdversary(F(1, 10))
-        x = findsum_answer(adv, ("g_inverse", F(1, 2)))
+        x = adv.g_inverse(F(1, 2))
         assert 0 < x < 1
         assert x - F(1, 10) not in adv.recorded or x - F(1, 10) == x
         assert x + F(1, 10) not in adv.recorded
@@ -57,7 +56,7 @@ class TestFindSum:
                 else:
                     adv.g_inverse(F(rng.randint(0, 60), 60))
             x0 = F(rng.randint(0, 30), 30) * (1 - s)
-            table = findsum_finalize(adv, x0)
+            table = adv.finalize(x0)
             values = dict(table)
             assert values[x0] + values[x0 + s] != 1
             # completed function is strictly increasing and onto [0, 1]
@@ -69,7 +68,7 @@ class TestFindSum:
 
     def test_reduction_session_normalization(self):
         sess = MmsReductionSession(FindSumAdversary(F(1, 4)))
-        assert rw_mms_adversary(sess, ("eval", F(0), F(1))) == 1
+        assert sess.eval(F(0), F(1)) == 1
 
     def test_reduction_cut_eval_consistency(self):
         sess = MmsReductionSession(FindSumAdversary(F(1, 4)))
@@ -90,8 +89,7 @@ class TestFindSum:
                          F(rng.randint(0, 20), 20))
         adv.finalize(F(1, 3))
         v = adv.to_valuation()
-        for rec in sess.transcript:
-            assert replay_answer(v, rec) == rec.answer
+        assert replay_consistent(v, sess.transcript)
 
     @pytest.mark.parametrize("s", (F(1, 10), F(1, 4)))
     @pytest.mark.parametrize("budget", (5, 20, 50))
@@ -132,8 +130,7 @@ class TestHasLowValue:
             adv.eval(F(i, 10), F(i + 1, 10) % 1)
         revealed = adv.reveal_for_yes()
         assert minimum_window_value(revealed, F(1, 4)) > F(1, 8)
-        for rec in adv.transcript:
-            assert replay_answer(revealed, rec) == rec.answer
+        assert replay_consistent(revealed, adv.transcript)
 
     @pytest.mark.parametrize("budget", (5, 20, 50))
     @pytest.mark.parametrize("solver", (window_scan_candidate,
@@ -156,9 +153,8 @@ class TestPieWitnesses:
         t = [QueryRecord("eval", (F(0), F(1, 2)), F(1, 2)),
              QueryRecord("cut", (F(1, 4), F(1, 4)), F(1, 2))]
         v_low, v_high = pie_threshold_witnesses(2, F(1, 4), t)
-        for rec in t:
-            assert replay_answer(v_low, rec) == rec.answer
-            assert replay_answer(v_high, rec) == rec.answer
+        assert replay_consistent(v_low, t)
+        assert replay_consistent(v_high, t)
 
     def test_inconsistent_transcript_rejected(self):
         bad = [QueryRecord("eval", (F(0), F(1, 2)), F(1, 3))]
@@ -183,8 +179,8 @@ class TestPieWitnesses:
             v_low, v_high, part = pie_threshold_witnesses(
                 k, s, sess.transcript, return_partition=True)
             r = (1 - k * s) / k
-            assert sess.replay_consistent(v_high)
-            assert sess.replay_consistent(v_low)
+            assert replay_consistent(v_high, sess.transcript)
+            assert replay_consistent(v_low, sess.transcript)
             # the hidden partition is valid and every piece beats r
             assert pieces_separated(part.pieces, s, Topology.PIE)
             for piece in part.pieces:

@@ -152,6 +152,20 @@ def test_transcript_export(tmp_path, capsys):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines and all(
         set(rec) >= {"index", "kind", "args", "answer"} for rec in lines)
+    assert [rec["index"] for rec in lines] == list(range(len(lines)))
+
+
+@pytest.mark.parametrize("agent", ("5", "-1"))
+@pytest.mark.parametrize("argv", (
+    ("decide", "--instance", THIRDS_PATH, "--rel", "atleast", "--r", "1/5"),
+    ("mms-approx", "--instance", THIRDS_PATH),
+    ("pie-decide", "--instance", UNI2_PIE_PATH, "--mode", "one-over-k",
+     "--k", "2")))
+def test_agent_out_of_range(capsys, argv, agent):
+    assert main([*argv, "--agent", agent]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: agent {agent} out of range\n"
 
 
 def test_float_display(capsys):

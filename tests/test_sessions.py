@@ -1,14 +1,14 @@
-import io
-import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sepfair.adversary import (bisection_share_candidate, cut_walk_candidate,
+                               falsify_share_solver, falsify_window_solver)
 from sepfair.errors import InputError
-from sepfair.sessions import QuerySession, SubcakeSession, flipped_session
-from sepfair.valuations import (PiecewiseConstantValuation, Topology,
-                                cut_rightmost)
+from sepfair.sessions import (QuerySession, SubcakeSession, _SharedState,
+                              replay_consistent)
+from sepfair.valuations import PiecewiseConstantValuation, Topology
 
 from helpers import THIRDS, UNIFORM, UNIFORM_PIE, random_valuation
 
@@ -55,62 +55,77 @@ def test_invalid_coordinates_not_counted():
     assert sess.query_count == 0
 
 
-def test_flipped_session_symmetry():
-    sess = QuerySession(UNIFORM)
-    assert sess.flipped().cut(0, F(1, 2)) == F(1, 2)
-
-
-def test_flipped_cut_matches_reflected_rightmost():
-    # reflected coordinate of the rightmost cut on the explicit valuation
-    expected = 1 - cut_rightmost(THIRDS, 0, F(2, 5))
-    sess = QuerySession(THIRDS)
-    flipped = flipped_session(sess)
-    assert flipped.cut(0, F(3, 5)) == expected == F(1, 3)
-    assert sess.query_count == 1            # charged to the parent
-
-
-def test_flipped_twice_is_identity():
-    rng = random.Random(5)
-    for _ in range(10):
-        v = random_valuation(rng)
-        sess = QuerySession(v)
-        double = sess.flipped().flipped()
-        x, y = sorted((F(rng.randint(0, 24), 24), F(rng.randint(0, 24), 24)))
-        assert double.eval(x, y) == v.value_between(x, y)
-        alpha = F(rng.randint(0, 12), 12)
-        from sepfair.valuations import cut_leftmost
-        assert double.cut(x, alpha) == cut_leftmost(v, x, alpha)
-
-
-def test_flip_rejected_on_pie():
-    with pytest.raises(InputError):
-        QuerySession(UNIFORM_PIE).flipped()
-
-
-def test_transcript_replay_and_export():
+def test_transcript_replay():
     rng = random.Random(11)
     v = random_valuation(rng)
     sess = QuerySession(v)
-    flipped = sess.flipped()
     for _ in range(20):
         if rng.random() < 0.5:
             a, b = sorted((F(rng.randint(0, 48), 48),
                            F(rng.randint(0, 48), 48)))
-            (sess if rng.random() < 0.7 else flipped).eval(a, b)
+            sess.eval(a, b)
         else:
-            (sess if rng.random() < 0.7 else flipped).cut(
-                F(rng.randint(0, 48), 48), F(rng.randint(0, 24), 24))
+            sess.cut(F(rng.randint(0, 48), 48), F(rng.randint(0, 24), 24))
     assert sess.query_count == 20 == len(sess.transcript)
-    assert sess.replay_consistent(v)
-    assert not sess.replay_consistent(UNIFORM) or v == UNIFORM
+    assert replay_consistent(v, sess.transcript)
+    assert not replay_consistent(UNIFORM, sess.transcript) or v == UNIFORM
 
-    buf = io.StringIO()
-    sess.export_transcript(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert len(lines) == 20
-    assert [rec["index"] for rec in lines] == list(range(20))
-    assert all(set(rec) >= {"index", "kind", "args", "answer"}
-               for rec in lines)
+
+@pytest.fixture
+def live_states(monkeypatch):
+    """Every _SharedState created, collected through the same __init__
+    hook that bench/run.py uses to count queries_per_op."""
+    live = []
+    orig_init = _SharedState.__init__
+
+    def init(state):
+        orig_init(state)
+        live.append(state)
+
+    monkeypatch.setattr(_SharedState, "__init__", init)
+    return live
+
+
+def test_one_state_per_session(live_states):
+    a, b = QuerySession(UNIFORM), QuerySession(THIRDS)
+    assert len(live_states) == 2
+    a.eval(0, F(1, 2))
+    b.cut(0, F(1, 3))
+    b.eval(0, 1)
+    assert [len(st.records) for st in live_states] == [1, 2]
+
+
+def test_one_record_per_answered_query(live_states):
+    sess = QuerySession(UNIFORM)
+    sess.eval(0, F(1, 4))
+    assert sess.cut(F(3, 4), F(1, 2)) is None       # answered: no point
+    with pytest.raises(InputError):
+        sess.eval(F(1, 2), F(1, 4))
+    with pytest.raises(InputError):
+        sess.cut(0, 2)
+    (state,) = live_states
+    assert [rec.kind for rec in state.records] == ["eval", "cut"]
+    assert sess.query_count == 2
+
+
+def test_subcake_queries_land_on_parent_records(live_states):
+    parent = QuerySession(UNIFORM_PIE)
+    sub = SubcakeSession(parent, offset=F(1, 10), length=F(1, 2))
+    sub.eval(0, F(1, 4))
+    assert sub.cut(0, F(3, 4)) is None               # left the arc
+    with pytest.raises(InputError):
+        sub.eval(0, 1)                               # outside the subcake
+    (state,) = live_states
+    assert [rec.kind for rec in state.records] == ["eval", "cut"]
+    assert state.records[0].args == (F(1, 10), F(7, 20))
+    assert sub.query_count == parent.query_count == 2
+
+
+def test_adversary_falsifiers_create_no_state(live_states):
+    share = falsify_share_solver(bisection_share_candidate, F(1, 10), 20)
+    window = falsify_window_solver(cut_walk_candidate, F(1, 4), F(1, 8), 20)
+    assert share["queries"] > 0 and window["queries"] > 0
+    assert live_states == []
 
 
 def test_subcake_session_maps_coordinates():

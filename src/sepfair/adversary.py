@@ -18,12 +18,18 @@ Three adversaries are provided:
   "is there a length-s arc worth at most q" can be contradicted either way.
 * ``pie_threshold_witnesses`` answers as if uniform, then splits into one
   valuation whose k-piece share equals (1-ks)/k and one whose share is
-  strictly larger.
+  strictly larger: k pieces of length (1-ks)/k are rotated off every
+  recorded point, and one walk over the merged breakpoints moves value
+  from separators to pieces inside each recorded interval an edge splits.
+
+The session-like adversaries check coordinates, answer a full-circle eval
+and keep their transcripts by the same rules as a ``QuerySession``, but
+record into a plain list, so the benchmark's query count leaves them out.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +38,8 @@ from .errors import InputError, InternalError
 from .exact_mms import exact_mms
 from .pie import PiePartition
 from .rationals import frac
-from .sessions import QueryRecord, replay_consistent
+from .sessions import (QueryRecord, _cut_args, _eval_points, _Recorder,
+                       replay_answer, replay_consistent)
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
                          Topology, cut_leftmost, minimum_window_value)
 
@@ -53,14 +60,11 @@ class FindSumAdversary:
     and halving toward the lower neighbor until clear.
     """
 
-    mode = "findsum"
-
     def __init__(self, s):
         self.s = frac(s)
         if not (ZERO < self.s < ONE):
             raise InputError("s must be in (0, 1)")
         self.recorded: Dict[Fraction, Fraction] = {ZERO: ZERO, ONE: ONE}
-        self.finalized_valuation: Optional[PiecewiseConstantValuation] = None
 
     # neighbors by point
     def _bracket(self, x):
@@ -111,8 +115,9 @@ class FindSumAdversary:
 
     def finalize(self, x0) -> List[Tuple[Fraction, Fraction]]:
         """Voluntarily record g(x0) and g(x0 + s) (their sum cannot be 1
-        under the answering rules), then connect all recorded points
-        linearly; returns the (point, value) table of the completed g."""
+        under the answering rules) and return the (point, value) table of
+        the completed g, which connects the recorded points linearly;
+        ``to_valuation`` turns it into a valuation."""
         x0 = frac(x0)
         if not (ZERO <= x0 <= ONE - self.s):
             raise InputError(f"x0 must lie in [0, 1 - s], got {x0}")
@@ -120,7 +125,6 @@ class FindSumAdversary:
         self.g_value(x0 + self.s)
         if self.recorded[x0] + self.recorded[x0 + self.s] == ONE:
             raise InternalError("the dodged sum appeared anyway")
-        self.finalized_valuation = self.to_valuation()
         return sorted(self.recorded.items())
 
     def to_valuation(self) -> PiecewiseConstantValuation:
@@ -134,44 +138,29 @@ class FindSumAdversary:
         return PiecewiseConstantValuation(bps, dens, Topology.CAKE)
 
 
-class MmsReductionSession:
+class MmsReductionSession(_Recorder):
     """Session facade over a FindSum adversary, imitating the valuation
     v(x, y) = g(y) - g(x); this is the reduction showing that an exact
     two-piece share computation would solve the unsolvable sum problem."""
-
-    def __init__(self, adversary: FindSumAdversary):
-        self.adversary = adversary
-        # not a sessions._SharedState, so queries_per_op leaves these out
-        self._records: List[QueryRecord] = []
 
     topology = Topology.CAKE
     domain_end = ONE
     known_total = ONE
 
-    @property
-    def query_count(self) -> int:
-        return len(self._records)
-
-    @property
-    def transcript(self) -> List[QueryRecord]:
-        return list(self._records)
+    def __init__(self, adversary: FindSumAdversary):
+        self.adversary = adversary
+        self._records: List[QueryRecord] = []
 
     def eval(self, x, y) -> Fraction:
-        x, y = frac(x), frac(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise InputError("invalid eval coordinates")
-        answer = self.adversary.g_value(y) - self.adversary.g_value(x)
-        self._records.append(QueryRecord("eval", (x, y), answer))
-        return answer
+        x, y, _ = _eval_points(self.topology, x, y)
+        g = self.adversary.g_value
+        return self._record("eval", (x, y), g(y) - g(x))
 
     def cut(self, x, alpha) -> Optional[Fraction]:
-        x, alpha = frac(x), frac(alpha)
-        if not (ZERO <= x <= ONE and ZERO <= alpha <= ONE):
-            raise InputError("invalid cut arguments")
+        x, alpha = _cut_args(self.topology, x, alpha)
         target = self.adversary.g_value(x) + alpha
         answer = None if target > ONE else self.adversary.g_inverse(target)
-        self._records.append(QueryRecord("cut", (x, alpha), answer))
-        return answer
+        return self._record("cut", (x, alpha), answer)
 
 
 def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
@@ -239,7 +228,7 @@ class _ArcEditor:
         return PiecewiseConstantValuation(self.bps, self.dens, Topology.PIE)
 
 
-class HasLowValueAdversary:
+class HasLowValueAdversary(_Recorder):
     """Hides a length-s window of density q/s (value exactly q) on a pie
     with density strictly above q/s everywhere else, sliding the window
     clockwise whenever a query is about to land on one of its endpoints.
@@ -247,7 +236,6 @@ class HasLowValueAdversary:
     Doubles as a session: protocols can call ``eval``/``cut`` directly.
     """
 
-    mode = "haslowvalue"
     topology = Topology.PIE
     domain_end = ONE
     known_total = ONE
@@ -262,17 +250,7 @@ class HasLowValueAdversary:
             (ZERO, self.window, self.window + self.s, ONE),
             (base, self.q / self.s, base), Topology.PIE)
         self.recorded = {ZERO}
-        self.finalized_valuation: Optional[PiecewiseConstantValuation] = None
-        # not a sessions._SharedState, so queries_per_op leaves these out
         self._records: List[QueryRecord] = []
-
-    @property
-    def query_count(self) -> int:
-        return len(self._records)
-
-    @property
-    def transcript(self) -> List[QueryRecord]:
-        return list(self._records)
 
     # -- recorded-point geometry (clockwise on the circle) ------------------
 
@@ -328,21 +306,14 @@ class HasLowValueAdversary:
         self.recorded.add(p)
 
     def eval(self, x, y) -> Fraction:
-        xr, yr = frac(x), frac(y)
-        x, y = xr % ONE, yr % ONE
+        x, y, whole = _eval_points(self.topology, x, y)
         self._record_point(x)
         self._record_point(y)
-        if x == y and xr != yr:
-            answer = ONE           # clockwise all the way around
-        else:
-            answer = self.valuation.value_between(x, y)
-        self._records.append(QueryRecord("eval", (x, y), answer))
-        return answer
+        answer = ONE if whole else self.valuation.value_between(x, y)
+        return self._record("eval", (x, y), answer)
 
     def cut(self, x, alpha) -> Optional[Fraction]:
-        x, alpha = frac(x) % ONE, frac(alpha)
-        if not (ZERO <= alpha <= ONE):
-            raise InputError("invalid cut target")
+        x, alpha = _cut_args(self.topology, x, alpha)
         self._record_point(x)
         self._ensure_interior_points()
         answer = cut_leftmost(self.valuation, x, alpha)
@@ -356,15 +327,13 @@ class HasLowValueAdversary:
             if answer in self._window_points():
                 raise InternalError("cut answer still pins a window endpoint")
             self.recorded.add(answer)
-        self._records.append(QueryRecord("cut", (x, alpha), answer))
-        return answer
+        return self._record("cut", (x, alpha), answer)
 
     # -- falsification ------------------------------------------------------
 
     def reveal_for_no(self) -> PiecewiseConstantValuation:
         """Contradicts a 'no low-value arc' answer: the hidden window is a
         length-s arc worth exactly q."""
-        self.finalized_valuation = self.valuation
         return self.valuation
 
     def reveal_for_yes(self) -> PiecewiseConstantValuation:
@@ -376,8 +345,7 @@ class HasLowValueAdversary:
         ed = _ArcEditor(self.valuation)
         flat = self.valuation.value_between(lo, hi) / ((hi - lo) % ONE)
         ed.set_arc(lo, hi, flat)
-        self.finalized_valuation = ed.build()
-        return self.finalized_valuation
+        return ed.build()
 
     def check_window_invariant(self) -> bool:
         v, y, s = self.valuation, self.window, self.s
@@ -471,6 +439,17 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     v_high concentrates value away from k hidden separator arcs so its
     share strictly exceeds that.  With ``return_partition`` the k-piece
     partition witnessing v_high's larger share is returned as well.
+
+    The hidden pieces have length r = (1-ks)/k with gaps s, rotated so no
+    edge lands on a recorded point, and every piece and separator gets a
+    recorded point inside.  Then one walk over the merged breakpoints
+    builds v_high: a piece edge switches the walk into or out of a piece,
+    and a recorded point closes a recorded interval.  An interval that no
+    edge splits keeps density 1; in a split one, the separator side gets
+    density 1/2 and the piece side the rest of the interval's length.  So
+    every answer replays, every piece is worth more than r, and every
+    density stays positive (a cut answer must remain the *first* point
+    with its value).
     """
     k = int(k)
     s = frac(s)
@@ -479,109 +458,48 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     uniform = PiecewiseConstantValuation((ZERO, ONE), (ONE,), Topology.PIE)
     points = {ZERO}
     for rec in transcript:
-        if rec.kind == "eval":
-            expected = uniform.value_between(*rec.args)
-            points.update(p % ONE for p in rec.args)
-        elif rec.kind == "cut":
-            expected = cut_leftmost(uniform, *rec.args)
-            points.add(rec.args[0] % ONE)
-            if rec.answer is not None:
-                points.add(rec.answer % ONE)
-        else:
+        if rec.kind not in ("eval", "cut"):
             raise InputError(f"unknown record kind {rec.kind!r}")
-        if expected != rec.answer:
+        if replay_answer(uniform, rec) != rec.answer:
             raise InputError("transcript is not uniform-consistent")
+        known = rec.args if rec.kind == "eval" else (rec.args[0], rec.answer)
+        points.update(p % ONE for p in known if p is not None)
 
     r = (ONE - k * s) / k
-    offsets = []
-    for j in range(k):
-        offsets.append(j * (r + s))
-        offsets.append(j * (r + s) + r)
-    forbidden = sorted({(p - off) % ONE for p in points for off in offsets})
-    z = None
-    for a, b in zip(forbidden, forbidden[1:] + [forbidden[0] + ONE]):
-        if b > a:
-            z = (a + b) * HALF % ONE
-            break
-    if z is None:
-        raise InternalError("no free rotation found")
+    offsets = [j * (r + s) + e for j in range(k) for e in (ZERO, r)]
+    # 0 is recorded and an edge at offset 0, so the smallest clash is 0:
+    # rotate by half the next one
+    z = sorted({(p - off) % ONE for p in points for off in offsets})[1] * HALF
+    piece_edges = [(z + off) % ONE for off in offsets]
+    marks = set(points)     # and a point inside each piece and separator
+    for a, b in zip(offsets, offsets[1:] + [ONE]):
+        if not any(ZERO < (p - z - a) % ONE < b - a for p in points):
+            marks.add((z + (a + b) * HALF) % ONE)
 
-    piece_edges = [((z + off) % ONE) for off in offsets]
-    # add a point inside every piece and separator that has none
-    marks = set(points)
-    bounds = piece_edges + [piece_edges[0]]
-    for i in range(2 * k):
-        a, b = bounds[i], bounds[i + 1]
-        length = (b - a) % ONE
-        if all((p - a) % ONE >= length or (p - a) % ONE == 0 for p in marks):
-            marks.add((a + length * HALF) % ONE)
-
-    # Walk recorded intervals (0 is recorded, so none of them wraps).  A
-    # boundary interval straddles one piece edge; its piece side absorbs
-    # all but half of the separator side's value, so that every piece
-    # strictly exceeds r while every density stays strictly positive (a
-    # cut answer must remain the *first* point with its value on replay).
-    rec_sorted = sorted(marks)
-    edges_sorted = sorted(set(piece_edges) | marks | {ZERO})
-    breakpoints = edges_sorted + [ONE]
-    in_piece = _membership_flags(piece_edges, breakpoints, k)
-    dens = []
-    for idx, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])):
-        i0 = _interval_index(rec_sorted, a)
-        lo, hi = rec_sorted[i0], \
-            rec_sorted[i0 + 1] if i0 + 1 < len(rec_sorted) else ONE
-        edge_inside = [e for e in piece_edges if lo < e < hi]
-        if not edge_inside:
-            dens.append(ONE)
+    edges = set(piece_edges)
+    # just after 0 the walk is in a piece iff the last edge starts one
+    inside = piece_edges.index(max(piece_edges)) % 2 == 0
+    breakpoints = sorted(marks | edges) + [ONE]
+    # run: (length, in a piece) of each segment of the open recorded
+    # interval; 0 is recorded, so no interval wraps
+    dens, run = [], []
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        if a in edges:
+            inside = not inside
+        run.append((b - a, inside))
+        if b in edges:
             continue
-        covered = _piece_overlap(piece_edges, lo, hi, k)
-        sep_len = (hi - lo) - covered
-        if in_piece[idx]:
-            dens.append(((hi - lo) - HALF * sep_len) / covered)
+        if len(run) == 1:
+            dens.append(ONE)
         else:
-            dens.append(HALF)
+            length = sum(w for w, _ in run)
+            sep = sum(w for w, piece in run if not piece)
+            piece_density = (length - HALF * sep) / (length - sep)
+            dens.extend(piece_density if piece else HALF for _, piece in run)
+        run = []
     v_high = PiecewiseConstantValuation(breakpoints, dens, Topology.PIE)
     if return_partition:
-        pieces = tuple(
-            _canonical_interval(piece_edges[2 * j], piece_edges[2 * j + 1])
-            for j in range(k))
+        pieces = tuple(Interval(*piece_edges[2 * j:2 * j + 2])
+                       for j in range(k))
         return uniform, v_high, PiePartition(s, pieces)
     return uniform, v_high
-
-
-def _canonical_interval(a, b):
-    return Interval(a % ONE, b % ONE)
-
-
-def _membership_flags(piece_edges, breakpoints, k):
-    flags = []
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        mid = (a + b) * HALF
-        inside = False
-        for j in range(k):
-            lo, hi = piece_edges[2 * j], piece_edges[2 * j + 1]
-            arc = (hi - lo) % ONE
-            if (mid - lo) % ONE < arc:
-                inside = True
-                break
-        flags.append(inside)
-    return flags
-
-
-def _interval_index(rec_sorted, a):
-    i = bisect_right(rec_sorted, a) - 1
-    return max(i, 0)
-
-
-def _piece_overlap(piece_edges, lo, hi, k):
-    total = ZERO
-    for j in range(k):
-        pl, ph = piece_edges[2 * j], piece_edges[2 * j + 1]
-        arc = (ph - pl) % ONE
-        # overlap of [lo, hi] (non-wrapping) with the piece arc
-        for seg_lo, seg_hi in (((pl, pl + arc),) if pl + arc <= ONE
-                               else ((pl, ONE), (ZERO, (pl + arc) % ONE))):
-            a, b = max(lo, seg_lo), min(hi, seg_hi)
-            if b > a:
-                total += b - a
-    return total

@@ -281,23 +281,32 @@ def _run_allocate(args, inst):
     return (allocation_to_json(alloc, inst, None), [])
 
 
+def _pick_solver(args, **solvers):
+    """The candidate named by ``--solver`` (the first one by default), with
+    its name."""
+    name = args.solver or next(iter(solvers))
+    if name not in solvers:
+        raise InputError(f"unknown solver {name!r} for {args.kind}")
+    return name, solvers[name]
+
+
 def _run_adversary(args) -> dict:
     s = frac(args.s)
     if args.kind == "findsum":
-        solver = {"bisect": adv.bisection_share_candidate,
-                  "grid": adv.grid_eval_share_candidate}[
-                      args.solver or "bisect"]
+        name, solver = _pick_solver(
+            args, bisect=adv.bisection_share_candidate,
+            grid=adv.grid_eval_share_candidate)
         out = adv.falsify_share_solver(solver, s, args.budget)
         return {"kind": "findsum", "s": args.s, "budget": args.budget,
-                "solver": args.solver or "bisect",
+                "solver": name,
                 "claimed": fmt(out["claimed"]), "actual": fmt(out["actual"]),
                 "falsified": out["falsified"], "queries": out["queries"]}
     if args.kind == "haslowvalue":
-        solver = {"scan": adv.window_scan_candidate,
-                  "cuts": adv.cut_walk_candidate}[args.solver or "scan"]
+        name, solver = _pick_solver(args, scan=adv.window_scan_candidate,
+                                    cuts=adv.cut_walk_candidate)
         out = adv.falsify_window_solver(solver, s, frac(args.q), args.budget)
         return {"kind": "haslowvalue", "s": args.s, "q": args.q,
-                "budget": args.budget, "solver": args.solver or "scan",
+                "budget": args.budget, "solver": name,
                 "answer": out["answer"], "window_min": fmt(out["window_min"]),
                 "falsified": out["falsified"], "queries": out["queries"]}
     v_low, v_high = adv.pie_threshold_witnesses(args.k, s, [])

@@ -44,7 +44,49 @@ class _SharedState:
         self.records: List[QueryRecord] = []
 
 
-class QuerySession:
+def _check_point(topology: Topology, x: Fraction) -> Fraction:
+    if not (ZERO <= x <= ONE):
+        raise InputError(f"coordinate {x} outside the {topology.value}")
+    return x if topology is Topology.CAKE else x % ONE
+
+
+def _eval_points(topology: Topology, x, y):
+    """Checked eval coordinates (x, y), and whether they ask for the whole
+    pie: one point reached by going all the way round, as in eval(0, 1),
+    which is recorded as (x, x) and worth 1."""
+    xr, yr = frac(x), frac(y)
+    x, y = _check_point(topology, xr), _check_point(topology, yr)
+    if topology is Topology.CAKE and x > y:
+        raise InputError(f"eval needs x <= y on a cake, got {x} > {y}")
+    return x, y, topology is Topology.PIE and x == y and xr != yr
+
+
+def _cut_args(topology: Topology, x, alpha):
+    x, alpha = _check_point(topology, frac(x)), frac(alpha)
+    if not (ZERO <= alpha <= ONE):
+        raise InputError(f"cut target {alpha} outside [0, 1]")
+    return x, alpha
+
+
+class _Recorder:
+    """The transcript of a query oracle: ``self._records`` holds every
+    answered query in order.  Invalid queries raise before they are
+    recorded, so they are not counted."""
+
+    @property
+    def query_count(self) -> int:
+        return len(self._records)
+
+    @property
+    def transcript(self) -> List[QueryRecord]:
+        return list(self._records)
+
+    def _record(self, kind: str, args: tuple, answer):
+        self._records.append(QueryRecord(kind, args, answer))
+        return answer
+
+
+class QuerySession(_Recorder):
     """Two-query (eval/cut) oracle over one hidden valuation.
 
     Protocols may rely on ``topology``, ``domain_end`` and ``known_total``
@@ -57,24 +99,7 @@ class QuerySession:
     def __init__(self, valuation: PiecewiseConstantValuation):
         self._valuation = valuation
         self.topology = valuation.topology
-        self._state = _SharedState()
-
-    @property
-    def query_count(self) -> int:
-        return len(self._state.records)
-
-    @property
-    def transcript(self) -> List[QueryRecord]:
-        return list(self._state.records)
-
-    def _check_point(self, x: Fraction) -> Fraction:
-        if self.topology is Topology.CAKE:
-            if not (ZERO <= x <= ONE):
-                raise InputError(f"coordinate {x} outside the cake")
-            return x
-        if not (ZERO <= x <= ONE):
-            raise InputError(f"coordinate {x} outside the pie")
-        return x % ONE
+        self._records = _SharedState().records
 
     def eval(self, x, y) -> Fraction:
         """Value of the piece from x to y; counts as one query.
@@ -82,28 +107,18 @@ class QuerySession:
         On a pie the piece is the clockwise arc from x to y (it may wrap
         through 0).  Invalid coordinates raise without being counted.
         """
-        xr, yr = frac(x), frac(y)
-        x, y = self._check_point(xr), self._check_point(yr)
-        if self.topology is Topology.CAKE and x > y:
-            raise InputError(f"eval needs x <= y on a cake, got {x} > {y}")
-        if self.topology is Topology.PIE and x == y and xr != yr:
-            answer = ONE           # clockwise all the way around
-        else:
-            answer = self._valuation.value_between(x, y)
-        self._state.records.append(QueryRecord("eval", (x, y), answer))
-        return answer
+        x, y, whole = _eval_points(self.topology, x, y)
+        answer = ONE if whole else self._valuation.value_between(x, y)
+        return self._record("eval", (x, y), answer)
 
     def cut(self, x, alpha) -> Optional[Fraction]:
         """Leftmost y (first clockwise on a pie) with value [x, y] = alpha.
 
         Counts as one query even when no such point exists (answer None).
         """
-        x, alpha = self._check_point(frac(x)), frac(alpha)
-        if not (ZERO <= alpha <= ONE):
-            raise InputError(f"cut target {alpha} outside [0, 1]")
-        answer = cut_leftmost(self._valuation, x, alpha)
-        self._state.records.append(QueryRecord("cut", (x, alpha), answer))
-        return answer
+        x, alpha = _cut_args(self.topology, x, alpha)
+        return self._record("cut", (x, alpha),
+                            cut_leftmost(self._valuation, x, alpha))
 
 
 def replay_answer(valuation: PiecewiseConstantValuation, rec: QueryRecord):
@@ -123,12 +138,12 @@ def replay_consistent(valuation: PiecewiseConstantValuation,
     return all(replay_answer(valuation, rec) == rec.answer for rec in records)
 
 
-class SubcakeSession:
+class SubcakeSession(_Recorder):
     """A clockwise arc of a pie, re-exposed as a cake starting at 0.
 
     Coordinates x in [0, length] map to pie points (offset + x) mod 1.  A
     cut whose answer would leave the arc is reported as None (the query is
-    still counted by the parent).
+    still counted by the parent, whose records this session shares).
     """
 
     topology = Topology.CAKE
@@ -138,15 +153,12 @@ class SubcakeSession:
         if parent.topology is not Topology.PIE:
             raise InputError("SubcakeSession wraps a pie session")
         self._parent = parent
+        self._records = parent._records
         self.offset = frac(offset) % ONE
         self.domain_end = frac(length)
         self.known_total = known_total
         if not (ZERO < self.domain_end <= ONE):
             raise InputError("subcake length must be in (0, 1]")
-
-    @property
-    def query_count(self) -> int:
-        return self._parent.query_count
 
     def _to_pie(self, x: Fraction) -> Fraction:
         if not (ZERO <= x <= self.domain_end):

@@ -107,6 +107,18 @@ class TestHasLowValue:
         adv = HasLowValueAdversary(F(1, 4), F(1, 8))
         assert adv.eval(0, 1) == 1
 
+    def test_out_of_range_coordinates_rejected(self):
+        """The same check as a QuerySession on a pie: nothing is answered
+        and nothing is recorded."""
+        adv = HasLowValueAdversary(F(1, 4), F(1, 8))
+        with pytest.raises(InputError):
+            adv.eval(F(-1, 2), F(3, 2))
+        with pytest.raises(InputError):
+            adv.cut(F(3, 2), F(1, 4))
+        with pytest.raises(InputError):
+            adv.cut(0, 2)
+        assert adv.query_count == 0 and adv.recorded == {0}
+
     def test_parameter_ordering_required(self):
         with pytest.raises(InputError):
             HasLowValueAdversary(F(1, 8), F(1, 4))
@@ -156,6 +168,19 @@ class TestPieWitnesses:
         assert replay_consistent(v_low, t)
         assert replay_consistent(v_high, t)
 
+    def test_full_circle_eval_accepted(self):
+        """A pie session records eval(0, 1) as (0, 0) worth 1; that is
+        what the uniform pie answers too."""
+        from sepfair.sessions import QuerySession
+        from sepfair.valuations import PiecewiseConstantValuation, Topology
+        sess = QuerySession(PiecewiseConstantValuation.uniform(Topology.PIE))
+        assert sess.eval(0, 1) == 1
+        sess.cut(F(1, 4), F(1, 2))
+        v_low, v_high = pie_threshold_witnesses(2, F(1, 4), sess.transcript)
+        assert replay_consistent(v_low, sess.transcript)
+        assert replay_consistent(v_high, sess.transcript)
+        assert pie_exact_mms(v_high, 2, F(1, 4)) > F(1, 4)
+
     def test_inconsistent_transcript_rejected(self):
         bad = [QueryRecord("eval", (F(0), F(1, 2)), F(1, 3))]
         with pytest.raises(InputError):
@@ -167,7 +192,8 @@ class TestPieWitnesses:
         from sepfair.valuations import PiecewiseConstantValuation, Topology
         from sepfair.valuations import pieces_separated
         uniform = PiecewiseConstantValuation.uniform(Topology.PIE)
-        for k, s in ((2, F(1, 4)), (3, F(1, 10))):
+        for k, s in ((2, F(1, 4)), (3, F(1, 10)), (4, F(1, 10)),
+                     (5, F(1, 20))):
             sess = QuerySession(uniform)
             for _ in range(12):
                 if rng.random() < 0.5:
@@ -181,7 +207,47 @@ class TestPieWitnesses:
             r = (1 - k * s) / k
             assert replay_consistent(v_high, sess.transcript)
             assert replay_consistent(v_low, sess.transcript)
+            # a cut answer stays the first point with its value on replay
+            assert all(d > 0 for d in v_high.densities)
+            assert pie_exact_mms(v_high, k, s) > r == pie_exact_mms(
+                v_low, k, s)
             # the hidden partition is valid and every piece beats r
             assert pieces_separated(part.pieces, s, Topology.PIE)
             for piece in part.pieces:
                 assert v_high.value(piece) > r
+
+    @staticmethod
+    def _golden(v_high, part):
+        return ([str(p) for p in v_high.breakpoints],
+                [str(d) for d in v_high.densities],
+                [(str(p.left), str(p.right)) for p in part.pieces])
+
+    def test_golden_empty_transcript(self):
+        """The CLI case: k = 2, s = 3/10 and nothing asked."""
+        v_low, v_high, part = pie_threshold_witnesses(
+            2, F(3, 10), [], return_partition=True)
+        assert v_low.breakpoints == (0, 1) and v_low.densities == (1,)
+        assert self._golden(v_high, part) == (
+            ["0", "3/20", "1/4", "7/20", "1/2", "13/20", "3/4", "17/20",
+             "1"],
+            ["1/2", "7/4", "7/4", "1/2", "1/2", "7/4", "7/4", "1/2"],
+            [("3/20", "7/20"), ("13/20", "17/20")])
+        assert part.s == F(3, 10)
+
+    def test_golden_evals_and_cuts(self):
+        """k = 3, s = 1/10 after two evals (one wrapping) and two cuts
+        (one wrapping); the recorded intervals [1/3, 1/2] and [1/2, 5/8]
+        are split by a piece start and a piece end."""
+        t = [QueryRecord("eval", (F(0), F(1, 4)), F(1, 4)),
+             QueryRecord("cut", (F(1, 3), F(1, 6)), F(1, 2)),
+             QueryRecord("eval", (F(3, 4), F(1, 8)), F(3, 8)),
+             QueryRecord("cut", (F(7, 8), F(1, 4)), F(1, 8))]
+        _, v_high, part = pie_threshold_witnesses(
+            3, F(1, 10), t, return_partition=True)
+        assert self._golden(v_high, part) == (
+            ["0", "1/120", "1/8", "29/120", "1/4", "1/3", "41/120", "1/2",
+             "23/40", "5/8", "27/40", "3/4", "7/8", "109/120", "1"],
+            ["1/2", "29/28", "29/28", "1/2", "1", "1/2", "39/38", "4/3",
+             "1/2", "1/2", "4/3", "1", "19/8", "1/2"],
+            [("1/120", "29/120"), ("41/120", "23/40"),
+             ("27/40", "109/120")])

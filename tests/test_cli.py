@@ -136,6 +136,16 @@ def test_adversary_haslowvalue(capsys):
     assert out["falsified"] is True
 
 
+@pytest.mark.parametrize("kind, solver", (("findsum", "scan"),
+                                           ("haslowvalue", "bisect")))
+def test_adversary_unknown_solver(capsys, kind, solver):
+    assert main(["adversary", kind, "--s", "1/4", "--q", "1/8",
+                 "--solver", solver]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown solver {solver!r} for {kind}\n"
+
+
 def test_adversary_pie_witness(capsys):
     code, out = run_cli(capsys, "adversary", "pie-witness", "--k", "2",
                         "--s", "3/10")

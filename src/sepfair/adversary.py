@@ -14,13 +14,16 @@ Three adversaries are provided:
   a g-difference and cut as a g-inverse), any claimed exact share is
   refuted by the finalized piecewise-linear g.
 * ``HasLowValueAdversary`` hides a sliding density-q/s window of length s
-  on a circle, shifting it whenever a query would pin an endpoint, so
-  "is there a length-s arc worth at most q" can be contradicted either way.
+  on a circle, so "is there a length-s arc worth at most q" can be
+  contradicted either way; a query that would pin an endpoint slides it.
 * ``pie_threshold_witnesses`` answers as if uniform, then splits into one
   valuation whose k-piece share equals (1-ks)/k and one whose share is
   strictly larger: k pieces of length (1-ks)/k are rotated off every
-  recorded point, and one walk over the merged breakpoints moves value
-  from separators to pieces inside each recorded interval an edge splits.
+  recorded point.
+
+Both pie adversaries lay out their valuations in one walk: each gap
+between recorded points keeps its value, spread evenly except on the
+window or separator side of a hidden edge, which gets a fixed density.
 
 The session-like adversaries check coordinates, answer a full-circle eval
 and keep their transcripts by the same rules as a ``QuerySession``, but
@@ -29,7 +32,6 @@ record into a plain list, so the benchmark's query count leaves them out.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -171,6 +173,8 @@ def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
     consistent with the whole transcript whose true exact share differs
     from the claim (checked here with the explicit solver).
     """
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     s = frac(s)
     adv = FindSumAdversary(s)
     sess = MmsReductionSession(adv)
@@ -196,42 +200,46 @@ def falsify_share_solver(solver: Callable, s, budget: int) -> dict:
 # -- HasLowValue -----------------------------------------------------------------
 
 
-class _ArcEditor:
-    """Stepwise density edits on a circle; normalization is only checked
-    when the final valuation is built (intermediate states may be off)."""
+def _arc_holds(points, a, length) -> bool:
+    """Whether a point lies strictly inside the arc (a, a + length)."""
+    return any(ZERO < (p - a) % ONE < length for p in points)
 
-    def __init__(self, v: PiecewiseConstantValuation):
-        self.bps = list(v.breakpoints)
-        self.dens = list(v.densities)
 
-    def set_arc(self, a: Fraction, b: Fraction, g: Fraction) -> None:
-        """Clockwise arc [a, b] gets constant density g."""
-        a, b = a % ONE, b % ONE
-        spans = [(a, b)] if a < b else [(a, ONE), (ZERO, b)]
-        for lo, hi in spans:
-            if lo == hi:
-                continue
-            for p in (lo, hi):
-                self._insert(p)
-            for i, (s0, s1) in enumerate(zip(self.bps, self.bps[1:])):
-                if lo <= s0 and s1 <= hi:
-                    self.dens[i] = g
-
-    def _insert(self, p: Fraction) -> None:
-        if p in (ZERO, ONE) or p in self.bps:
-            return
-        i = bisect_left(self.bps, p)
-        insort(self.bps, p)
-        self.dens.insert(i, self.dens[i - 1] if i > 0 else self.dens[0])
-
-    def build(self) -> PiecewiseConstantValuation:
-        return PiecewiseConstantValuation(self.bps, self.dens, Topology.PIE)
+def _lay_out_pie(points, prefix, edges, inside: bool,
+                 density) -> PiecewiseConstantValuation:
+    """The pie valuation laid out in one walk around the hidden ``edges``
+    that agrees with ``prefix`` at the recorded ``points`` (0 among them,
+    so no gap between them wraps).  Each edge switches the walk into or out
+    of a marked arc (it starts in one iff ``inside``).  A gap that no edge
+    splits is spread evenly; in a split one the marked side gets
+    ``density`` and the rest the gap's remaining value, spread evenly."""
+    breakpoints = sorted(set(points) | edges) + [ONE]
+    dens, run, start = [], [], ZERO  # run: (length, marked) per segment
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        if a in edges:
+            inside = not inside
+        run.append((b - a, inside))
+        if b in edges:
+            continue
+        value = prefix(b) - prefix(start)
+        if len(run) == 1:
+            dens.append(value / (b - a))
+        else:
+            marked = sum(w for w, m in run if m)
+            rest = (value - density * marked) / (b - start - marked)
+            dens.extend(density if m else rest for _, m in run)
+        run, start = [], b
+    return PiecewiseConstantValuation(breakpoints, dens, Topology.PIE)
 
 
 class HasLowValueAdversary(_Recorder):
     """Hides a length-s window of density q/s (value exactly q) on a pie
     with density strictly above q/s everywhere else, sliding the window
     clockwise whenever a query is about to land on one of its endpoints.
+
+    The valuation is laid out by ``_lay_out_pie`` with the window marked
+    at density q/s.  A shift keeps each window edge inside its gap between
+    recorded points and every gap's value, so every answer stays true.
 
     Doubles as a session: protocols can call ``eval``/``cut`` directly.
     """
@@ -245,54 +253,40 @@ class HasLowValueAdversary(_Recorder):
         if not (ZERO < self.q < self.s < ONE):
             raise InputError("need 0 < q < s < 1")
         self.window = (ONE - self.s) / 3
-        base = (ONE - self.q) / (ONE - self.s)   # > q/s because q < s
-        self.valuation = PiecewiseConstantValuation(
-            (ZERO, self.window, self.window + self.s, ONE),
-            (base, self.q / self.s, base), Topology.PIE)
         self.recorded = {ZERO}
         self._records: List[QueryRecord] = []
+        # the whole circle is one gap worth 1, so outside the window the
+        # density is (1-q)/(1-s) > q/s, as q < s
+        self.valuation = PiecewiseConstantValuation.uniform(Topology.PIE)
+        self.valuation = self._laid_out(self._window_points(), False)
 
     # -- recorded-point geometry (clockwise on the circle) ------------------
 
-    def _next_after(self, x) -> Fraction:
-        return min((p - x) % ONE or ONE for p in self.recorded)
-
-    def _prev_before(self, x) -> Fraction:
-        return min((x - p) % ONE or ONE for p in self.recorded)
-
     def _ensure_interior_points(self):
+        """Record a point inside and one outside the window where none is."""
         y, s = self.window, self.s
-        if all((p - y) % ONE >= s or (p - y) % ONE == 0
-               for p in self.recorded):
+        if not _arc_holds(self.recorded, y, s):
             self.recorded.add((y + s * HALF) % ONE)
-        outside = (ONE - s)
-        if all((p - (y + s)) % ONE >= outside or (p - (y + s)) % ONE == 0
-               for p in self.recorded):
-            self.recorded.add((y + s + outside * HALF) % ONE)
+        if not _arc_holds(self.recorded, y + s, ONE - s):
+            self.recorded.add((y + s + (ONE - s) * HALF) % ONE)
 
     def _window_points(self):
         return {self.window, (self.window + self.s) % ONE}
 
+    def _laid_out(self, edges, inside: bool) -> PiecewiseConstantValuation:
+        """The valuation laid out again around ``edges``, worth what it is
+        now on every gap between recorded points."""
+        return _lay_out_pie(self.recorded, self.valuation.prefix, edges,
+                            inside, self.q / self.s)
+
     def _shift_window(self):
         """Move the low-value window clockwise by half the clearance to the
         nearest recorded points, leaving every recorded prefix unchanged."""
-        y, s = self.window, self.s
-        eps = min(self._next_after(y), self._next_after((y + s) % ONE))
-        z = (y + eps * HALF) % ONE
-        v = self.valuation
-        y_minus = (y - self._prev_before(y)) % ONE
-        flat = v.value_between(y_minus, z) / ((z - y_minus) % ONE)
-        end_plus = ((y + s) + self._next_after((y + s) % ONE)) % ONE
-        tail_value = v.value_between((y + s) % ONE, end_plus)
-        zs = (z + s) % ONE
-        seg = (end_plus - zs) % ONE
-        d = (tail_value - eps * HALF * self.q / self.s) / seg
-        ed = _ArcEditor(v)
-        ed.set_arc(y_minus, z, flat)
-        ed.set_arc((y + s) % ONE, zs, self.q / self.s)
-        ed.set_arc(zs, end_plus, d)
-        self.valuation = ed.build()
-        self.window = z
+        eps = min((p - e) % ONE for p in self.recorded
+                  for e in self._window_points())
+        self.window = (self.window + eps * HALF) % ONE
+        self.valuation = self._laid_out(self._window_points(),
+                                        self.window + self.s > ONE)
 
     def _record_point(self, p: Fraction) -> None:
         """One point becomes known; shift first if it is a window endpoint."""
@@ -337,15 +331,14 @@ class HasLowValueAdversary(_Recorder):
         return self.valuation
 
     def reveal_for_yes(self) -> PiecewiseConstantValuation:
-        """Contradicts a 'yes' answer: flatten around the window start so
-        every length-s arc strictly exceeds q."""
-        y = self.window
-        lo = (y - self._prev_before(y)) % ONE
-        hi = (y + self._next_after(y)) % ONE
-        ed = _ArcEditor(self.valuation)
-        flat = self.valuation.value_between(lo, hi) / ((hi - lo) % ONE)
-        ed.set_arc(lo, hi, flat)
-        return ed.build()
+        """Contradicts a 'yes' answer: the gap holding the window start is
+        spread evenly, so every length-s arc strictly exceeds q.  While 0
+        is the only recorded point, that gap is the whole circle and this
+        is the uniform pie."""
+        # Without its start as an edge, the window runs from 0 to its end.
+        end = (self.window + self.s) % ONE
+        split = _arc_holds(self.recorded, self.window, self.s)
+        return self._laid_out({end} if split else set(), True)
 
     def check_window_invariant(self) -> bool:
         v, y, s = self.valuation, self.window, self.s
@@ -359,6 +352,8 @@ class HasLowValueAdversary(_Recorder):
 def falsify_window_solver(solver: Callable, s, q, budget: int) -> dict:
     """Run a deterministic yes/no solver for 'is some length-s arc worth
     at most q' against the sliding-window adversary and refute it."""
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     s, q = frac(s), frac(q)
     adv = HasLowValueAdversary(s, q)
     answer = bool(solver(adv, s, q, budget))
@@ -442,14 +437,11 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
 
     The hidden pieces have length r = (1-ks)/k with gaps s, rotated so no
     edge lands on a recorded point, and every piece and separator gets a
-    recorded point inside.  Then one walk over the merged breakpoints
-    builds v_high: a piece edge switches the walk into or out of a piece,
-    and a recorded point closes a recorded interval.  An interval that no
-    edge splits keeps density 1; in a split one, the separator side gets
-    density 1/2 and the piece side the rest of the interval's length.  So
-    every answer replays, every piece is worth more than r, and every
-    density stays positive (a cut answer must remain the *first* point
-    with its value).
+    recorded point inside.  ``_lay_out_pie`` then makes v_high agree with
+    v_low at every recorded point, with density 1/2 on the separator side
+    of each gap an edge splits.  So every answer replays, every piece is
+    worth more than r, and every density stays positive (a cut answer must
+    remain the *first* point with its value).
     """
     k = int(k)
     s = frac(s)
@@ -473,31 +465,14 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     piece_edges = [(z + off) % ONE for off in offsets]
     marks = set(points)     # and a point inside each piece and separator
     for a, b in zip(offsets, offsets[1:] + [ONE]):
-        if not any(ZERO < (p - z - a) % ONE < b - a for p in points):
+        if not _arc_holds(points, z + a, b - a):
             marks.add((z + (a + b) * HALF) % ONE)
 
-    edges = set(piece_edges)
-    # just after 0 the walk is in a piece iff the last edge starts one
-    inside = piece_edges.index(max(piece_edges)) % 2 == 0
-    breakpoints = sorted(marks | edges) + [ONE]
-    # run: (length, in a piece) of each segment of the open recorded
-    # interval; 0 is recorded, so no interval wraps
-    dens, run = [], []
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        if a in edges:
-            inside = not inside
-        run.append((b - a, inside))
-        if b in edges:
-            continue
-        if len(run) == 1:
-            dens.append(ONE)
-        else:
-            length = sum(w for w, _ in run)
-            sep = sum(w for w, piece in run if not piece)
-            piece_density = (length - HALF * sep) / (length - sep)
-            dens.extend(piece_density if piece else HALF for _, piece in run)
-        run = []
-    v_high = PiecewiseConstantValuation(breakpoints, dens, Topology.PIE)
+    # just after 0 the walk is in a separator iff the last edge starts one;
+    # v_low's prefix at any point p is p
+    in_separator = piece_edges.index(max(piece_edges)) % 2 == 1
+    v_high = _lay_out_pie(marks, lambda p: p, set(piece_edges),
+                          in_separator, HALF)
     if return_partition:
         pieces = tuple(Interval(*piece_edges[2 * j:2 * j + 2])
                        for j in range(k))

@@ -222,12 +222,18 @@ def _agent_valuation(inst, agent: int):
 
 
 def _parse_ells(text: str, n: int):
-    parts = [t.strip() for t in text.split(",")]
+    parts = text.split(",")
     if len(parts) == 1:
-        return [int(parts[0])] * n
+        parts *= n
     if len(parts) != n:
         raise InputError("need one ell per agent")
-    return [int(t) for t in parts]
+    try:
+        ells = [int(t) for t in parts]
+    except ValueError as exc:
+        raise InputError(f"ells must be integers, got {text!r}") from exc
+    if min(ells) < 1:
+        raise InputError("ells must be positive integers")
+    return ells
 
 
 def _run_allocate(args, inst):

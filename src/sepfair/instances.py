@@ -35,13 +35,17 @@ class Instance:
         return len(self.agents)
 
 
+def _parse_topology(name) -> Topology:
+    try:
+        return Topology(name)
+    except ValueError as exc:
+        raise InputError("topology must be 'cake' or 'pie'") from exc
+
+
 def parse_instance(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance must be a JSON object")
-    try:
-        topology = Topology(data["topology"])
-    except (KeyError, ValueError) as exc:
-        raise InputError("topology must be 'cake' or 'pie'") from exc
+    topology = _parse_topology(data.get("topology"))
     if "s" not in data:
         raise InputError("missing separation parameter 's'")
     s = frac(data["s"])
@@ -50,11 +54,14 @@ def parse_instance(data: dict) -> Instance:
         raise InputError("instance needs a non-empty 'agents' list")
     vs = []
     for i, entry in enumerate(agents):
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("breakpoints"), list)
+                and isinstance(entry.get("densities"), list)):
+            raise InputError(f"agent {i}: 'breakpoints' and 'densities' "
+                             "must be JSON lists")
         try:
             vs.append(PiecewiseConstantValuation(
                 entry["breakpoints"], entry["densities"], topology))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"agent {i}: malformed valuation") from exc
         except InputError as exc:
             raise InputError(f"agent {i}: {exc}") from exc
     return Instance(topology, s, tuple(vs))
@@ -111,8 +118,9 @@ def allocation_to_json(alloc: Allocation, inst: Instance,
 
 
 def parse_allocation(data: dict, inst: Instance) -> Allocation:
-    if "allocation" not in data:
-        raise InputError("missing 'allocation' list")
+    if not (isinstance(data, dict)
+            and isinstance(data.get("allocation"), list)):
+        raise InputError("allocation file needs an 'allocation' list")
     assignment = {}
     for item in data["allocation"]:
         try:
@@ -121,7 +129,7 @@ def parse_allocation(data: dict, inst: Instance) -> Allocation:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed allocation entry {item!r}") from exc
     s = frac(data["s"]) if "s" in data else inst.s
-    topology = Topology(data.get("topology", inst.topology.value))
+    topology = _parse_topology(data.get("topology", inst.topology.value))
     return Allocation(s, assignment, topology)
 
 

@@ -123,18 +123,75 @@ class TestHasLowValue:
         with pytest.raises(InputError):
             HasLowValueAdversary(F(1, 8), F(1, 4))
 
-    def test_window_invariant_through_queries(self):
+    @staticmethod
+    def _sweep():
+        """50 seeded evals and cuts on a 1/60 grid against s = 1/4,
+        q = 1/8; yields the adversary and the answer after each query."""
         rng = random.Random(14)
         adv = HasLowValueAdversary(F(1, 4), F(1, 8))
         for _ in range(50):
             if rng.random() < 0.5:
-                adv.eval(F(rng.randint(0, 60), 60),
-                         F(rng.randint(0, 60), 60))
+                yield adv, adv.eval(F(rng.randint(0, 60), 60),
+                                    F(rng.randint(0, 60), 60))
             else:
-                adv.cut(F(rng.randint(0, 60), 60),
-                        F(rng.randint(0, 30), 30))
+                yield adv, adv.cut(F(rng.randint(0, 60), 60),
+                                   F(rng.randint(0, 30), 30))
+
+    def test_window_invariant_through_queries(self):
+        for adv, _ in self._sweep():
             assert adv.check_window_invariant()
         assert minimum_window_value(adv.valuation, F(1, 4)) == F(1, 8)
+
+    def test_golden_sweep(self):
+        """The sweep above pinned: every answer, the final window, and the
+        prefix functions of the valuation and of the yes-reveal at every
+        recorded point, both window edges and 1.  Both functions are
+        linear between these points, so they are pinned exactly."""
+        sweep = list(self._sweep())
+        adv = sweep[-1][0]
+        assert [str(answer) for _, answer in sweep] == (
+            "7/90 1/5 1/60 1/10 7/30 7/40 227/360 11/70 283/360 7/20 13/14 "
+            "161/360 61/90 227/360 137/140 1/3 53/84 65/84 103/105 227/360 "
+            "2/15 23/120 59/120 13/70 71/180 7/40 361/420 251/420 21/40 3/4 "
+            "119/120 13/30 121/1080 4/7 139/540 0 2/3 9/20 33/40 5/7 29/36 "
+            "3/14 3/4 25/36 31/420 38/45 301/360 11/18 1/36 19/35").split()
+        assert adv.window == F(31, 120)
+        xs = [F(x) for x in (
+            "0 1/60 1/30 1/15 31/420 1/12 1/10 7/60 2/15 3/20 11/70 1/6 "
+            "13/70 1/5 3/14 13/60 7/30 1/4 31/120 4/15 3/10 19/60 1/3 7/20 "
+            "11/30 3/8 23/60 71/180 2/5 5/12 13/30 9/20 7/15 29/60 1/2 "
+            "61/120 31/60 8/15 19/35 4/7 251/420 3/5 37/60 53/84 13/20 2/3 "
+            "41/60 7/10 5/7 43/60 11/15 3/4 65/84 47/60 4/5 49/60 17/20 "
+            "361/420 9/10 11/12 13/14 29/30 137/140 103/105 59/60 1").split()]
+        prefix = (
+            "0 7/360 7/180 7/90 31/360 7/72 7/60 49/360 7/45 7/40 11/60 "
+            "7/36 13/60 7/30 1/4 91/360 49/180 311/1080 71/240 3/10 19/60 "
+            "13/40 1/3 41/120 7/20 17/48 43/120 131/360 11/30 3/8 23/60 "
+            "47/120 2/5 49/120 5/12 101/240 467/1080 41/90 7/15 1/2 191/360 "
+            "8/15 199/360 41/72 71/120 11/18 227/360 13/20 2/3 241/360 "
+            "31/45 17/24 53/72 269/360 23/30 283/360 33/40 301/360 53/60 "
+            "65/72 11/12 173/180 39/40 44/45 353/360 1").split()
+        assert set(xs) == adv.recorded | adv._window_points() | {1}
+        assert [str(adv.valuation.prefix(x)) for x in xs] == prefix
+        # the yes-reveal spreads the gap holding the window start evenly:
+        # its prefix moves at the (unrecorded) window start only
+        prefix[xs.index(adv.window)] = "127/432"
+        revealed = adv.reveal_for_yes()
+        assert [str(revealed.prefix(x)) for x in xs] == prefix
+
+    def test_yes_reveal_with_only_zero_recorded(self):
+        """With only 0 recorded, the gap holding the window start is the
+        whole circle, so the yes-reveal is the uniform pie."""
+        out = falsify_window_solver(lambda sess, s, q, budget: True,
+                                    F(1, 4), F(1, 8), 5)
+        assert out["answer"] and out["falsified"] and out["queries"] == 0
+        assert out["window_min"] == F(1, 4)
+        assert out["valuation"].densities == (1,)
+        adv = HasLowValueAdversary(F(1, 4), F(1, 8))
+        assert adv.eval(0, 0) == 0 and adv.recorded == {0}
+        revealed = adv.reveal_for_yes()
+        assert minimum_window_value(revealed, F(1, 4)) == F(1, 4)
+        assert replay_consistent(revealed, adv.transcript)
 
     def test_yes_reveal_blocks_all_windows(self):
         adv = HasLowValueAdversary(F(1, 4), F(1, 8))

@@ -99,6 +99,18 @@ def test_allocate_ordinal_pie(capsys):
     assert all(v >= target for v in values)
 
 
+@pytest.mark.parametrize("ell, message", (
+    ("x", "ells must be integers, got 'x'"),
+    ("0", "ells must be positive integers"),
+    ("1,-1", "ells must be positive integers")))
+def test_allocate_ordinal_bad_ell(capsys, ell, message):
+    assert main(["allocate", "--criterion", "ordinal", "--instance",
+                 UNI2_PIE_PATH, "--ell", ell]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_pie_decide_one_over_k(capsys):
     code, out = run_cli(capsys, "pie-decide", "--mode", "one-over-k",
                         "--k", "2", "--instance", UNI2_PIE_PATH)
@@ -119,6 +131,22 @@ def test_check_roundtrip(tmp_path, capsys):
     assert report["equitability_gap"] == "1/5"
     assert report["separation_ok"] is True
     assert report["mms_dominance"] == [True, True]
+
+
+@pytest.mark.parametrize("alloc", (
+    {"topology": "circle",
+     "allocation": [{"agent": 0, "left": "0", "right": "1/3"},
+                    {"agent": 1, "left": "2/3", "right": "1"}]},
+    {"allocation": 5}))
+def test_check_malformed_allocation(tmp_path, capsys, alloc):
+    path = tmp_path / "alloc.json"
+    path.write_text(json.dumps(alloc))
+    assert main(["check", "--instance", THIRDS_PATH,
+                 "--allocation", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_adversary_findsum(capsys):
@@ -144,6 +172,16 @@ def test_adversary_unknown_solver(capsys, kind, solver):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown solver {solver!r} for {kind}\n"
+
+
+@pytest.mark.parametrize("kind, budget", (("findsum", "-3"),
+                                           ("haslowvalue", "0")))
+def test_adversary_budget_below_one(capsys, kind, budget):
+    assert main(["adversary", kind, "--s", "1/4", "--q", "1/8",
+                 "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: budget must be at least 1, got {budget}\n"
 
 
 def test_adversary_pie_witness(capsys):
@@ -241,16 +279,18 @@ def test_float_rejected_in_instances(tmp_path):
     assert main(["mms-exact", "--instance", str(bad)]) == 1
 
 
-def test_bad_density_names_its_agent(tmp_path, capsys):
+@pytest.mark.parametrize("agent, fragment", (
+    ({"breakpoints": ["0", "1/2", "1"], "densities": ["x/3", "2"]}, "x/3"),
+    # strings are not read character by character as the uniform valuation
+    ({"breakpoints": "01", "densities": "1"}, "must be JSON lists")))
+def test_bad_density_names_its_agent(tmp_path, capsys, agent, fragment):
     bad = tmp_path / "baddensity.json"
     bad.write_text(json.dumps({
         "topology": "cake", "s": "1/4",
-        "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]},
-                   {"breakpoints": ["0", "1/2", "1"],
-                    "densities": ["x/3", "2"]}]}))
+        "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]}, agent]}))
     assert main(["mms-exact", "--instance", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "agent 1:" in err and "x/3" in err
+    assert "agent 1:" in err and fragment in err
 
 
 def test_table_output(capsys):

@@ -21,7 +21,7 @@ from .fairness import (FairnessReport, envy_free_sperner,
                        equitable_bisection, fairness_check, pie_envy_free,
                        pie_equitable)
 from .instances import Instance, load_instance, parse_instance, save_instance
-from .pie import (PiePartition, pie_allocation_ordinal, pie_approx_mms,
+from .pie import (pie_allocation_ordinal, pie_approx_mms,
                   pie_decide_equals_one_over_k, pie_decide_positive,
                   pie_via_cake_allocation)
 from .sessions import QueryRecord, QuerySession, SubcakeSession
@@ -42,7 +42,7 @@ __all__ = [
     "equitable_bisection", "fairness_check", "pie_envy_free",
     "pie_equitable",
     "Instance", "load_instance", "parse_instance", "save_instance",
-    "PiePartition", "pie_allocation_ordinal", "pie_approx_mms",
+    "pie_allocation_ordinal", "pie_approx_mms",
     "pie_decide_equals_one_over_k", "pie_decide_positive",
     "pie_via_cake_allocation",
     "QueryRecord", "QuerySession", "SubcakeSession",

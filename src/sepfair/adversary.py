@@ -35,10 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cake import approx_mms
+from .cake import Partition, _check_params, approx_mms
 from .errors import InputError, InternalError
 from .exact_mms import exact_mms
-from .pie import PiePartition
 from .rationals import frac
 from .sessions import (QueryRecord, _cut_args, _eval_points, _Recorder,
                        replay_answer, replay_consistent)
@@ -378,7 +377,7 @@ def bisection_share_candidate(sess, s, budget: int) -> Fraction:
     """The library's own bracketing solver, forced to commit to an exact
     answer: binary-searches the two-piece share and returns its lower
     bracket end as if it were exact.  Uses at most ``budget`` queries."""
-    iters = max(budget // 2, 1)
+    iters = budget // 2     # each round is one cut and one eval
     r, _ = approx_mms(sess, 2, s, Fraction(1, 2 ** iters))
     return r
 
@@ -387,10 +386,9 @@ def grid_eval_share_candidate(sess, s, budget: int) -> Fraction:
     """Estimates the two-piece share from prefix values on an even grid:
     the best min(prefix(x), 1 - prefix(x + s)) over grid points x."""
     s = frac(s)
-    m = max(budget, 1)
     best = ZERO
-    for i in range(m):
-        x = Fraction(i, m)
+    for i in range(budget):
+        x = Fraction(i, budget)
         if x + s > ONE:
             break
         left = sess.eval(ZERO, x)
@@ -402,8 +400,8 @@ def window_scan_candidate(sess, s, q, budget: int) -> bool:
     """Answers the low-value-arc question by evaluating ``budget`` evenly
     spaced windows."""
     s = frac(s)
-    for i in range(max(budget, 1)):
-        x = Fraction(i, max(budget, 1))
+    for i in range(budget):
+        x = Fraction(i, budget)
         if sess.eval(x, (x + s) % ONE) <= q:
             return True
     return False
@@ -414,7 +412,7 @@ def cut_walk_candidate(sess, s, q, budget: int) -> bool:
     they land on."""
     s, q = frac(s), frac(q)
     pos = ZERO
-    for _ in range(max(budget // 2, 1)):
+    for _ in range(budget // 2):    # one eval and one cut a round
         if sess.eval(pos, (pos + s) % ONE) <= q:
             return True
         nxt = sess.cut(pos, q / 2)
@@ -444,9 +442,9 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     remain the *first* point with its value).
     """
     k = int(k)
-    s = frac(s)
-    if k < 2 or not (ZERO < s < Fraction(1, k)):
-        raise InputError("need k >= 2 and 0 < s < 1/k")
+    if k < 2:
+        raise InputError("need k >= 2")
+    s = _check_params(k + 1, s)
     uniform = PiecewiseConstantValuation((ZERO, ONE), (ONE,), Topology.PIE)
     points = {ZERO}
     for rec in transcript:
@@ -476,5 +474,5 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     if return_partition:
         pieces = tuple(Interval(*piece_edges[2 * j:2 * j + 2])
                        for j in range(k))
-        return uniform, v_high, PiePartition(s, pieces)
+        return uniform, v_high, Partition(s, pieces)
     return uniform, v_high

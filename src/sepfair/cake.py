@@ -34,7 +34,8 @@ class Relation(enum.Enum):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered, disjoint pieces with separation parameter s."""
+    """Disjoint pieces with separation parameter s, left to right on a
+    cake and clockwise on a pie (where the last gap wraps to the first)."""
 
     s: Fraction
     pieces: Tuple[Interval, ...]
@@ -52,16 +53,16 @@ class Allocation:
         return sorted(self.assignment.items(), key=lambda kv: kv[1].left)
 
 
-def _check_params(n: int, s: Fraction) -> Fraction:
+def _check_params(n: int, s, length: Fraction = ONE) -> Fraction:
+    """s as a Fraction if 0 < s < min(1, length/(n-1)) (0 < s < 1 for one
+    piece), so n pieces s apart fit on a stretch of that length.  A pie
+    with k pieces has k separators: it is checked as k + 1 pieces."""
     s = frac(s)
     if n < 1:
         raise InputError("need at least one part")
-    if n == 1:
-        if not (ZERO < s < ONE):
-            raise InputError(f"separation {s} outside (0, 1)")
-        return s
-    if not (ZERO < s < Fraction(1, n - 1)):
-        raise InputError(f"separation {s} outside (0, 1/{n - 1})")
+    bound = ONE if n == 1 else min(ONE, length / (n - 1))
+    if not (ZERO < s < bound):
+        raise InputError(f"separation {s} outside (0, {bound})")
     return s
 
 
@@ -253,15 +254,8 @@ def ordinal_allocation_2n_minus_1(sessions: Sequence, s) -> Allocation:
     takes it.
     """
     n = len(sessions)
-    s = frac(s)
-    if n == 1:
-        end = sessions[0].domain_end
-        if not (ZERO < s < ONE):
-            raise InputError(f"separation {s} outside (0, 1)")
-        return Allocation(s, {0: Interval(ZERO, end)}, Topology.CAKE)
     parts = 2 * n - 1
-    if not (ZERO < s < Fraction(1, parts - 1)):
-        raise InputError(f"separation {s} outside (0, 1/{parts - 1})")
+    s = _check_params(parts, s)
     end = sessions[0].domain_end
     remaining = list(range(n))
     assignment: Dict[int, Interval] = {}

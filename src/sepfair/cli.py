@@ -129,13 +129,12 @@ def _write_transcripts(path, sessions):
                 fp.write(json.dumps(row) + "\n")
 
 
-def run(args) -> tuple:
-    """Execute one parsed command; returns (exit_code, output dict)."""
+def run(args) -> dict:
+    """Execute one parsed command; returns its output dict."""
     if args.command == "adversary":
-        return 0, _run_adversary(args)
+        return _run_adversary(args)
 
     inst = load_instance(args.instance)
-    out: dict = {}
     transcript_sessions = []
 
     if args.command == "mms-exact":
@@ -202,17 +201,14 @@ def run(args) -> tuple:
                    "answer": answer, "queries": sess.query_count}
         transcript_sessions = [sess]
 
-    elif args.command == "check":
+    else:       # check
         alloc = load_allocation(args.allocation, inst)
         report = fairness_check(alloc, inst.agents, alloc.s, alloc.topology)
         out = report.to_json()
 
-    else:
-        raise InputError(f"unknown command {args.command}")
-
     if args.transcript and transcript_sessions:
         _write_transcripts(args.transcript, transcript_sessions)
-    return 0, out
+    return out
 
 
 def _agent_valuation(inst, agent: int):
@@ -359,7 +355,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, out = run(args)
+        out = run(args)
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 2
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
         _print_table(out)
     else:
         print(json.dumps(out, indent=2))
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -432,8 +432,6 @@ def exact_mms(v: PiecewiseConstantValuation, n: int,
     if v.topology is not Topology.CAKE:
         raise InputError("exact_mms runs on cakes")
     s = _check_params(n, s)
-    if n == 1:
-        return ONE, Partition(s, (Interval(ZERO, ONE),))
     if not explicit_decide_greater(v, n, s, ZERO):
         return ZERO, _trivial_partition(n, s, ONE)
     share = _max_share([(v.breakpoints, v.densities, v._prefix)] * n, ZERO,
@@ -538,13 +536,11 @@ def pie_exact_mms(v: PiecewiseConstantValuation, k: int, s) -> Fraction:
     """
     if v.topology is not Topology.PIE:
         raise InputError("pie_exact_mms runs on pies")
-    s = frac(s)
-    if k < 1 or not (ZERO < s):
-        raise InputError("need k >= 1 and s > 0")
-    if k * s > 1:
-        raise InputError(f"{k} separators of length {s} do not fit")
-    if k * s == 1:
+    if k < 1:
+        raise InputError("need k >= 1")
+    if k * frac(s) == 1:            # the separators fill the circle
         return ZERO
+    s = _check_params(k + 1, s)
 
     p = v.breakpoints
     # from lists: tuple(<genexpr>) shrinks onto a free list

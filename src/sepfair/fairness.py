@@ -34,7 +34,7 @@ from itertools import permutations, product
 from typing import Optional, Sequence, Tuple
 
 from . import simplex
-from .cake import Allocation
+from .cake import Allocation, _check_params
 from .errors import InputError, InternalError
 from .exact_mms import (_max_share, _piece_value, _pieces_worth,
                         _placement_rows, _position_exprs, _slot_pairs,
@@ -60,12 +60,19 @@ class FairnessReport:
         }
 
 
-def _domain_and_width(vs, s, domain, n):
+def _domain_and_width(vs, s, domain):
+    """s, lo, hi and the length left to the pieces, for one topology and a
+    domain that the pieces fit and that, on a pie, leaves the wrap gap."""
+    n = len(vs)
     lo, hi = frac(domain[0]), frac(domain[1])
-    width = hi - lo - (n - 1) * s
-    if width < 0:
-        raise InputError("domain too short for n separated pieces")
-    return lo, hi, width
+    s = _check_params(n, s, hi - lo)
+    topology = vs[0].topology
+    if any(v.topology is not topology for v in vs):
+        raise InputError("valuations mix cake and pie")
+    room = ONE - s if topology is Topology.PIE else ONE
+    if not ZERO <= hi - lo <= room:
+        raise InputError(f"domain [{lo}, {hi}] needs length in [0, {room}]")
+    return s, lo, hi, hi - lo - (n - 1) * s
 
 
 # -- equitable -------------------------------------------------------------------
@@ -85,16 +92,14 @@ def equitable_bisection(vs: Sequence[PiecewiseConstantValuation], s,
     is kept for callers that pass it.
     """
     n = len(vs)
-    s, eps = frac(s), frac(eps)
+    eps = frac(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
     if order is None:
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise InputError(f"not a permutation of the agents: {order}")
-    lo, hi, _ = _domain_and_width(vs, s, domain, n)
-    if n == 1:
-        return Allocation(s, {0: Interval(lo, hi)}, vs[0].topology)
+    s, lo, hi, _ = _domain_and_width(vs, s, domain)
     placed = [vs[agent] for agent in order]
     c = _max_share([(v.breakpoints, v.densities, v._prefix) for v in placed],
                    lo, hi, s)
@@ -246,10 +251,10 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
     receives the piece she named at her own vertex.
     """
     n = len(vs)
-    s, eps = frac(s), frac(eps)
+    eps = frac(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    lo_dom, hi_dom, width = _domain_and_width(vs, s, domain, n)
+    s, lo_dom, hi_dom, width = _domain_and_width(vs, s, domain)
     if n == 1:
         return Allocation(s, {0: Interval(lo_dom, hi_dom)}, vs[0].topology)
 
@@ -373,24 +378,21 @@ def fairness_check(alloc: Allocation,
 # -- pie wrappers ----------------------------------------------------------------
 
 
-def _pie_domain_check(vs, s, n):
+def _pie_domain_check(vs, s):
     if any(v.topology is not Topology.PIE for v in vs):
         raise InputError("expected pie valuations")
-    if not (ZERO < s < Fraction(1, n)):
-        raise InputError(f"separation {s} outside (0, 1/{n})")
+    return _check_params(len(vs) + 1, s)
 
 
 def pie_envy_free(vs, s, eps=Fraction(1, 10**6)) -> Allocation:
     """Insert one separator at [0, s] and solve the rest as a cake."""
-    s = frac(s)
-    _pie_domain_check(vs, s, len(vs))
+    s = _pie_domain_check(vs, s)
     alloc = envy_free_sperner(vs, s, eps, domain=(s, ONE))
     return _wrap_pie(alloc)
 
 
 def pie_equitable(vs, s, order=None, eps=Fraction(1, 10**9)) -> Allocation:
-    s = frac(s)
-    _pie_domain_check(vs, s, len(vs))
+    s = _pie_domain_check(vs, s)
     alloc = equitable_bisection(vs, s, order, eps, domain=(s, ONE))
     return _wrap_pie(alloc)
 

@@ -128,9 +128,12 @@ def parse_allocation(data: dict, inst: Instance) -> Allocation:
                 frac(item["left"]), frac(item["right"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed allocation entry {item!r}") from exc
-    s = frac(data["s"]) if "s" in data else inst.s
+    # the instance fixes the topology and s; the file may only repeat them
     topology = _parse_topology(data.get("topology", inst.topology.value))
-    return Allocation(s, assignment, topology)
+    if topology is not inst.topology or frac(data.get("s", inst.s)) != inst.s:
+        raise InputError("allocation names a topology or s other than the "
+                         "instance's")
+    return Allocation(inst.s, assignment, inst.topology)
 
 
 def load_allocation(path: str, inst: Instance) -> Allocation:

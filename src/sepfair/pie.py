@@ -10,26 +10,17 @@ agent.  As on the cake, agents are reached only through sessions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cake import (Allocation, _greater, _trivial_partition, approx_mms,
-                   mms_fair_allocation, ordinal_allocation_2n_minus_1)
+from .cake import (Allocation, Partition, _check_params, _greater,
+                   _trivial_partition, approx_mms, mms_fair_allocation,
+                   ordinal_allocation_2n_minus_1)
 from .errors import InputError, InternalError, ProtocolError
 from .rationals import frac
 from .sessions import SubcakeSession
 from .valuations import ONE, ZERO, Interval, Topology
-
-
-@dataclass(frozen=True)
-class PiePartition:
-    """Pieces listed clockwise; k pieces come with k separators, each of
-    length at least s (the gap after the last piece wraps to the first)."""
-
-    s: Fraction
-    pieces: Tuple[Interval, ...]
 
 
 def pie_allocation_ordinal(sessions: Sequence, s, ells: Sequence[int],
@@ -46,14 +37,11 @@ def pie_allocation_ordinal(sessions: Sequence, s, ells: Sequence[int],
     n = len(sessions)
     if not (len(ells) == len(thresholds) == n):
         raise InputError("need one ell and one threshold per agent")
-    s = frac(s)
     ells = [int(e) for e in ells]
     if any(e < 1 for e in ells):
         raise InputError("ells must be positive integers")
-    if all(e == 1 for e in ells) and not (ZERO < s < Fraction(1, n + 1)):
-        raise InputError(f"separation {s} outside (0, 1/{n + 1})")
-    if not (ZERO < s < ONE):
-        raise InputError("separation must be in (0, 1)")
+    # all ells 1: the n + 1 pie pieces of the 1-out-of-(n+1) share must fit
+    s = _check_params(n + 2 if all(e == 1 for e in ells) else 1, s)
     thresholds = [frac(t) for t in thresholds]
     if any(not (ZERO <= t <= ONE) for t in thresholds):
         raise InputError("thresholds must lie in [0, 1]")
@@ -87,7 +75,7 @@ def pie_allocation_ordinal(sessions: Sequence, s, ells: Sequence[int],
 
 
 def pie_decide_equals_one_over_k(sess, k: int,
-                                 s) -> Tuple[bool, Optional[PiePartition]]:
+                                 s) -> Tuple[bool, Optional[Partition]]:
     """Does some partition into k separated pieces give 1/k everywhere?
 
     That ceiling is reachable exactly when k value-free gaps of length s
@@ -97,9 +85,9 @@ def pie_decide_equals_one_over_k(sess, k: int,
     most 6k/s queries.
     """
     k = int(k)
-    s = frac(s)
-    if k < 2 or not (ZERO < s < Fraction(1, k)):
-        raise InputError("need k >= 2 and 0 < s < 1/k")
+    if k < 2:
+        raise InputError("need k >= 2")
+    s = _check_params(k + 1, s)
     m = ceil(Fraction(2) / s)
     share = Fraction(1, k)
     for idx in range(m):
@@ -129,7 +117,7 @@ def pie_decide_equals_one_over_k(sess, k: int,
         used = sum(((c2 - c1) % ONE for c1, c2 in zip(cuts, cuts[1:])),
                    ZERO)
         if used <= ONE:
-            return True, PiePartition(s, pieces)
+            return True, Partition(s, pieces)
     return False, None
 
 
@@ -162,7 +150,7 @@ def pie_decide_positive(sess, k: int, s) -> bool:
     return _greater(sub, k, s, ZERO)
 
 
-def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
+def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, Partition]:
     """Bracket the 1-out-of-k share within eps using O(1/eps) queries.
 
     Marks points clockwise from 0 every eps/2 of value (0 itself is a
@@ -175,10 +163,10 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
     laid out twice round the circle once per call.
     """
     k = int(k)
-    s = frac(s)
     eps = frac(eps)
-    if k < 2 or not (ZERO < s < Fraction(1, k)):
-        raise InputError("need k >= 2 and 0 < s < 1/k")
+    if k < 2:
+        raise InputError("need k >= 2")
+    s = _check_params(k + 1, s)
     if not (ZERO < eps < ONE):
         raise InputError("eps must be in (0, 1)")
     step = eps / 2
@@ -194,7 +182,7 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
     ucum = [t * step for t in range(m)]
     ucum += [c + ONE for c in ucum]
 
-    best: Optional[Tuple[Fraction, PiePartition]] = None
+    best: Optional[Tuple[Fraction, Partition]] = None
     for i in range(m):
         # A larger first piece from the same start only pushes every later
         # endpoint right, so once a target fails every larger one fails:
@@ -209,13 +197,13 @@ def pie_approx_mms(sess, k: int, s, eps) -> Tuple[Fraction, PiePartition]:
             pieces = _greedy_from_marks(upos, ucum, i, e, s, k)
             if pieces is None:
                 break
-            best = (ucum[e] - ucum[i], PiePartition(s, pieces))
+            best = (ucum[e] - ucum[i], Partition(s, pieces))
     if best is None:
         # No mark-aligned partition at all: any piece worth more than
         # eps/2 contains a mark, so the true share is at most eps and
         # r = 0 with equal pieces and the last separator ending at 1 meets
         # the bracket.
-        return ZERO, PiePartition(s, _trivial_partition(k, s, ONE - s).pieces)
+        return ZERO, _trivial_partition(k, s, ONE - s)
     return best
 
 
@@ -254,9 +242,7 @@ def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",
     1-out-of-2n share with no eps.
     """
     n = len(sessions)
-    s = frac(s)
-    if not (ZERO < s < Fraction(1, n + 1)):
-        raise InputError(f"separation {s} outside (0, 1/{n + 1})")
+    s = _check_params(n + 2, s)     # n + 1 pieces fit on the pie
     subs = [SubcakeSession(sess, offset=s, length=ONE - s)
             for sess in sessions]
     if mode == "approx":

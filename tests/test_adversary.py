@@ -92,7 +92,7 @@ class TestFindSum:
         assert replay_consistent(v, sess.transcript)
 
     @pytest.mark.parametrize("s", (F(1, 10), F(1, 4)))
-    @pytest.mark.parametrize("budget", (5, 20, 50))
+    @pytest.mark.parametrize("budget", (1, 2, 3, 4, 5, 6, 20, 50))
     @pytest.mark.parametrize("solver", (bisection_share_candidate,
                                         grid_eval_share_candidate))
     def test_every_candidate_solver_falsified(self, s, budget, solver):
@@ -201,12 +201,13 @@ class TestHasLowValue:
         assert minimum_window_value(revealed, F(1, 4)) > F(1, 8)
         assert replay_consistent(revealed, adv.transcript)
 
-    @pytest.mark.parametrize("budget", (5, 20, 50))
+    @pytest.mark.parametrize("budget", (1, 2, 3, 4, 5, 6, 20, 50))
     @pytest.mark.parametrize("solver", (window_scan_candidate,
                                         cut_walk_candidate))
     def test_every_candidate_solver_falsified(self, budget, solver):
         out = falsify_window_solver(solver, F(1, 4), F(1, 8), budget)
         assert out["falsified"]
+        assert out["queries"] <= budget
 
 
 class TestPieWitnesses:

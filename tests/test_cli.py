@@ -111,6 +111,22 @@ def test_allocate_ordinal_bad_ell(capsys, ell, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("criterion, s, bound", (
+    ("eq", "-1/10", "1"), ("eq", "0", "1"), ("ef", "-1/10", "1"),
+    ("ef", "0", "1"), ("mms", "0", "1"), ("ordinal", "1/2", "1/2")))
+def test_allocate_separation_outside_the_rule(tmp_path, capsys, criterion,
+                                              s, bound):
+    inst = {"topology": "cake", "s": s,
+            "agents": [{"breakpoints": ["0", "1"], "densities": ["1"]}] * 2}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["allocate", "--criterion", criterion, "--instance",
+                 str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: separation {s} outside (0, {bound})\n"
+
+
 def test_pie_decide_one_over_k(capsys):
     code, out = run_cli(capsys, "pie-decide", "--mode", "one-over-k",
                         "--k", "2", "--instance", UNI2_PIE_PATH)
@@ -137,7 +153,15 @@ def test_check_roundtrip(tmp_path, capsys):
     {"topology": "circle",
      "allocation": [{"agent": 0, "left": "0", "right": "1/3"},
                     {"agent": 1, "left": "2/3", "right": "1"}]},
-    {"allocation": 5}))
+    {"allocation": 5},
+    # thirds.json is a cake with s = 1/3: the file may not audit it as a
+    # pie, or with another s
+    {"topology": "pie",
+     "allocation": [{"agent": 0, "left": "1/6", "right": "1/3"},
+                    {"agent": 1, "left": "2/3", "right": "5/6"}]},
+    {"s": "1/6",
+     "allocation": [{"agent": 0, "left": "1/6", "right": "1/3"},
+                    {"agent": 1, "left": "2/3", "right": "5/6"}]}))
 def test_check_malformed_allocation(tmp_path, capsys, alloc):
     path = tmp_path / "alloc.json"
     path.write_text(json.dumps(alloc))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,8 @@ from sepfair.sessions import QuerySession
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
                                 Topology, pieces_separated)
 
-from helpers import THIRDS, UNIFORM, random_separation, random_valuation
+from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, random_separation,
+                     random_valuation)
 
 EQ_EPS = F(1, 10 ** 9)
 EF_EPS = F(1, 10 ** 6)
@@ -330,3 +332,33 @@ class TestPieWrappers:
         vs = [PiecewiseConstantValuation.uniform(Topology.PIE)] * 2
         with pytest.raises(InputError):
             pie_equitable(vs, F(1, 2))
+
+
+@pytest.mark.parametrize("solver", (equitable_bisection, envy_free_sperner))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("s", ("-1/10", "0", "bound"))
+def test_cake_solvers_keep_the_separation_rule(solver, n, s):
+    # at s = 1/(n-1) the n pieces only fit as points
+    bound = F(1, n - 1)
+    s = bound if s == "bound" else F(s)
+    message = f"separation {s} outside (0, {bound})"
+    with pytest.raises(InputError, match=re.escape(message)):
+        solver([UNIFORM] * n, s)
+
+
+@pytest.mark.parametrize("solver", (equitable_bisection, envy_free_sperner))
+@pytest.mark.parametrize("vs", ([UNIFORM_PIE] * 2, [UNIFORM, UNIFORM_PIE]),
+                         ids=("pie", "mixed"))
+def test_cake_solvers_need_one_topology_and_the_wrap_gap(solver, vs):
+    # on a pie, pieces over all of [0, 1] could touch across 0
+    with pytest.raises(InputError):
+        solver(vs, F(1, 10))
+
+
+@pytest.mark.parametrize("solver", (equitable_bisection, envy_free_sperner))
+def test_cake_solvers_on_a_pie_domain_leaving_the_wrap_gap(solver):
+    s = F(1, 10)
+    alloc = solver([UNIFORM_PIE] * 2, s, domain=(F(0), 1 - s))
+    assert alloc.topology is Topology.PIE
+    ordered = [piece for _, piece in alloc.pieces_in_order()]
+    assert pieces_separated(ordered, s, Topology.PIE, exact=True)

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from sepfair.adversary import pie_threshold_witnesses
 from sepfair.errors import InputError, ProtocolError
 from sepfair.exact_mms import pie_exact_mms
+from sepfair.fairness import pie_envy_free, pie_equitable
 from sepfair.pie import (pie_allocation_ordinal, pie_approx_mms,
                          pie_decide_equals_one_over_k, pie_decide_positive,
                          pie_via_cake_allocation)
@@ -277,3 +280,29 @@ class TestViaCake:
             alloc = pie_via_cake_allocation(sessions, s, "ordinal2n")
             oracles = [pie_grid_oracle(v, 2 * n, s) for v in vs]
             verify_allocation(alloc, vs, oracles)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("entry", ("one-over-k", "approx", "ordinal",
+                                   "via-cake", "witness", "equitable",
+                                   "envy-free"))
+def test_pie_entry_points_keep_the_separation_rule(entry, k):
+    """k pieces on a pie take k separators, so s = 1/k leaves no room:
+    every entry point refuses it with the one message.  The ordinal and
+    via-cake allocations serve k - 1 agents their 1-out-of-k share."""
+    s, agents = F(1, k), k - 1
+    calls = {
+        "one-over-k": lambda: pie_decide_equals_one_over_k(
+            sess(UNIFORM_PIE), k, s),
+        "approx": lambda: pie_approx_mms(sess(UNIFORM_PIE), k, s, F(1, 8)),
+        "ordinal": lambda: pie_allocation_ordinal(
+            [sess(UNIFORM_PIE)] * agents, s, [1] * agents, [0] * agents),
+        "via-cake": lambda: pie_via_cake_allocation(
+            [sess(UNIFORM_PIE)] * agents, s, eps=F(1, 8)),
+        "witness": lambda: pie_threshold_witnesses(k, s, []),
+        "equitable": lambda: pie_equitable([UNIFORM_PIE] * k, s),
+        "envy-free": lambda: pie_envy_free([UNIFORM_PIE] * k, s),
+    }
+    with pytest.raises(InputError,
+                       match=re.escape(f"separation {s} outside (0, {s})")):
+        calls[entry]()

@@ -13,8 +13,7 @@ no finite query algorithm can do.
 from .cake import (Allocation, Partition, Relation, approx_mms, decide,
                    mms_fair_allocation, ordinal_allocation_2n_minus_1)
 from .errors import InputError, InternalError, ProtocolError, SepfairError
-from .exact_mms import (IntervalList, LPInstance, LPSolution,
-                        brute_mms_interval_enum, exact_mms,
+from .exact_mms import (brute_mms_interval_enum, exact_mms,
                         exact_mms_allocation, pie_exact_mms,
                         select_interval_list, solve_lp_exact)
 from .fairness import (FairnessReport, envy_free_sperner,
@@ -26,8 +25,7 @@ from .pie import (pie_allocation_ordinal, pie_approx_mms,
                   pie_via_cake_allocation)
 from .sessions import QueryRecord, QuerySession, SubcakeSession
 from .valuations import (Interval, PiecewiseConstantValuation, Topology,
-                         cut_leftmost, cut_rightmost, flip,
-                         minimum_window_value, value)
+                         cut_leftmost, cut_rightmost, minimum_window_value)
 
 __version__ = "0.1.0"
 
@@ -35,9 +33,8 @@ __all__ = [
     "Allocation", "Partition", "Relation", "approx_mms", "decide",
     "mms_fair_allocation", "ordinal_allocation_2n_minus_1",
     "InputError", "InternalError", "ProtocolError", "SepfairError",
-    "IntervalList", "LPInstance", "LPSolution", "brute_mms_interval_enum",
-    "exact_mms", "exact_mms_allocation", "pie_exact_mms",
-    "select_interval_list", "solve_lp_exact",
+    "brute_mms_interval_enum", "exact_mms", "exact_mms_allocation",
+    "pie_exact_mms", "select_interval_list", "solve_lp_exact",
     "FairnessReport", "envy_free_sperner",
     "equitable_bisection", "fairness_check", "pie_envy_free",
     "pie_equitable",
@@ -47,5 +44,5 @@ __all__ = [
     "pie_via_cake_allocation",
     "QueryRecord", "QuerySession", "SubcakeSession",
     "Interval", "PiecewiseConstantValuation", "Topology", "cut_leftmost",
-    "cut_rightmost", "flip", "minimum_window_value", "value",
+    "cut_rightmost", "minimum_window_value",
 ]

@@ -69,8 +69,6 @@ def _check_params(n: int, s, length: Fraction = ONE) -> Fraction:
 def _trivial_partition(n: int, s: Fraction, end: Fraction) -> Partition:
     """Equal-length pieces with exact-s gaps; min-value is trivially >= 0."""
     piece_len = (end - (n - 1) * s) / n
-    if piece_len < 0:
-        raise InputError("domain too short for that many separated pieces")
     pieces = []
     pos = ZERO
     for _ in range(n):
@@ -152,7 +150,7 @@ def decide(sess, n: int, s, r,
     agent values at r or more.
     """
     r = frac(r)
-    s = _check_params(n, s)
+    s = _check_params(n, s, sess.domain_end)
     if relation is Relation.AT_LEAST:
         return _atleast(sess, n, s, r)
     if relation is Relation.GREATER:
@@ -173,8 +171,8 @@ def approx_mms(sess, n: int, s, eps) -> Tuple[Fraction, Partition]:
     eps = frac(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    s = _check_params(n, s)
     end = sess.domain_end
+    s = _check_params(n, s, end)
     if n == 1:
         total = sess.known_total
         if total is None:

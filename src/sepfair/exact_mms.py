@@ -22,10 +22,11 @@ on an uncounted view of it, and ``explicit_decide_atleast`` and
 The slot-pinned placement model (``_position_exprs``, ``_slot_pairs``,
 ``_placement_rows``, ``_piece_value`` and ``_maxmin_lp``) turns a segment
 assignment of every endpoint into one small LP.  It serves the exact
-equitable and envy-free enumerations in ``fairness``, the enumeration
+equitable and envy-free enumerations in ``fairness`` and the enumeration
 oracle ``brute_mms_interval_enum`` (every monotone assignment, maximum
-taken), and the retired interval-selection path (``select_interval_list``
-with ``solve_lp_exact``), which is kept for cross-checks only.
+taken).  ``solve_lp_exact`` is that LP for one assignment on one
+valuation, and ``select_interval_list`` reads an assignment off the
+witness of ``exact_mms``, on which that LP reaches the share.
 
 All arithmetic is exact; every LP solution is verified against its
 constraints with zero residual before being trusted.
@@ -34,7 +35,6 @@ constraints with zero residual before being trusted.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
@@ -49,39 +49,6 @@ from .rationals import frac
 from .sessions import QuerySession
 from .valuations import (ONE, ZERO, Interval, PiecewiseConstantValuation,
                          Topology, cut_leftmost)
-
-
-@dataclass(frozen=True)
-class IntervalList:
-    """Segment indices (ell(q), r(q)), 1-based, for the q-th piece's left
-    and right endpoints; must be weakly increasing overall."""
-
-    entries: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        flat = [i for pair in self.entries for i in pair]
-        if any(a > b for a, b in zip(flat, flat[1:])):
-            raise InputError(f"interval list not monotone: {self.entries}")
-        if flat and flat[0] < 1:
-            raise InputError("segment indices are 1-based")
-
-
-@dataclass(frozen=True)
-class LPInstance:
-    """max c over cut points x_0..x_k with x_0 = -s, x_k = t, endpoint
-    membership given by ``intervals``, and every piece worth at least c."""
-
-    valuation: PiecewiseConstantValuation
-    s: Fraction
-    t: Fraction
-    intervals: IntervalList
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    status: str                      # "optimal" | "infeasible"
-    objective: Optional[Fraction]
-    cut_points: Optional[Tuple[Fraction, ...]]   # x_0 .. x_k
 
 
 # -- the slot-pinned placement model -------------------------------------------
@@ -182,34 +149,40 @@ def _maxmin_lp(edges, dens, prefix, exprs, pairs, nvars):
     return simplex.solve_lp([ZERO] * (nvars - 1) + [ONE], a_ub, b_ub)
 
 
-def solve_lp_exact(lp: LPInstance) -> LPSolution:
-    """Solve the piece-placement program exactly and verify the solution.
-
-    The optimum, when feasible, is returned together with the full cut
-    vector x_0 .. x_k; every constraint is re-checked with zero residual.
+def solve_lp_exact(v: PiecewiseConstantValuation, s, t,
+                   entries) -> Optional[Tuple[Fraction, Tuple[Fraction, ...]]]:
+    """The best c for pieces [0, x_1], [x_1+s, x_2], .., [x_{k-1}+s, t],
+    each worth at least c, with the q-th piece's ends in the 1-based
+    segments ``entries[q]`` = (left, right): (c, (-s, x_1, .., t)), or None
+    when no such pieces exist.  Every constraint is re-checked with zero
+    residual.
     """
-    v, entries = lp.valuation, lp.intervals.entries
-    if any(r > len(v.densities) for pair in entries for r in pair):
-        raise InputError("segment index beyond the last segment")
     k = len(entries)
+    s = _check_params(k, s, t)
+    flat = [i for pair in entries for i in pair]
+    if any(a > b for a, b in zip(flat, flat[1:])):
+        raise InputError(f"interval list not monotone: {entries}")
+    if flat[0] < 1:
+        raise InputError("segment indices are 1-based")
+    if flat[-1] > len(v.densities):
+        raise InputError("segment index beyond the last segment")
     res = _maxmin_lp(v.breakpoints, v.densities, v._prefix,
-                     _position_exprs(k, lp.s, ZERO, lp.t), entries, k)
+                     _position_exprs(k, s, ZERO, t), entries, k)
     if res is None or res.status == simplex.INFEASIBLE:
-        return LPSolution(simplex.INFEASIBLE, None, None)
+        return None
     if res.status != simplex.OPTIMAL:
         raise InternalError(f"piece-placement LP reported {res.status}")
-    xs = res.x[:-1]
-    cuts = (-lp.s, *xs, lp.t)
+    cuts = (-s, *res.x[:-1], t)
     c = res.objective
     p = v.breakpoints
     for q, (ell, r) in enumerate(entries, start=1):
-        y, y2 = cuts[q - 1] + lp.s, cuts[q]
+        y, y2 = cuts[q - 1] + s, cuts[q]
         if not (p[ell - 1] <= y <= p[ell] and p[r - 1] <= y2 <= p[r]
                 and y <= y2):
             raise InternalError("LP solution violates a placement constraint")
         if v.value_between(y, y2) < c:
             raise InternalError("LP solution violates a value constraint")
-    return LPSolution(simplex.OPTIMAL, c, cuts)
+    return c, cuts
 
 
 # -- explicit greedy decisions -------------------------------------------------
@@ -230,6 +203,7 @@ def _leftmost_greedy(vs, c, lo, hi, s):
     return starts, cuts
 
 
+# No caller in the library; kept while bench/tracing.py names it.
 def explicit_decide_atleast(v: PiecewiseConstantValuation, parts: int,
                             s: Fraction, r: Fraction, lo: Fraction,
                             hi: Fraction) -> bool:
@@ -255,86 +229,19 @@ def explicit_decide_greater(v: PiecewiseConstantValuation, parts: int,
     return _greater(view, parts, s, r)
 
 
-# -- interval selection: the LP path exact_mms used to take, kept as a check ---
-
-
-def _first_failing(candidates: Sequence[int], pred) -> Optional[int]:
-    """Smallest candidate where ``pred`` is False, scanning left to right."""
-    return next((j for j in candidates if not pred(j)), None)
-
-
+# No caller in the library; kept while bench/tracing.py names it.
 def select_interval_list(v: PiecewiseConstantValuation, n: int,
-                         s) -> IntervalList:
-    """Find segment assignments consistent with some optimal partition.
-
-    Scans left to right: picks the segment of the first piece's right
-    endpoint by comparing the prefix worth against what the suffix can
-    still guarantee, then alternates prefix-LP optima against suffix
-    guarantees for each later endpoint.  Requires a strictly positive
-    optimum (checked by the caller).
-    """
-    s = _check_params(n, s)
-    if v.topology is not Topology.CAKE:
-        raise InputError("interval selection runs on cakes")
-    p = v.breakpoints
+                         s) -> Tuple[Tuple[int, int], ...]:
+    """The 1-based segments of the ends of each piece of the partition that
+    ``exact_mms`` returns, one (left, right) pair per piece: an assignment
+    on which ``solve_lp_exact`` reaches the share.  A point on a breakpoint
+    counts in the segment to its right, and 1 in the last segment."""
+    _, part = exact_mms(v, n, s)
     d = len(v.densities)
 
-    def suffix_atleast(parts, value, start):
-        if start > 1:
-            return False
-        return explicit_decide_atleast(v, parts, s, value, start, ONE)
-
-    def lp_opt(entries, t):
-        sol = solve_lp_exact(LPInstance(v, s, t, IntervalList(tuple(entries))))
-        return sol.objective if sol.status == simplex.OPTIMAL else None
-
-    # First piece: it starts at 0 (segment 1); its right endpoint lands in
-    # the first segment whose prefix outweighs what the other n-1 pieces
-    # can still secure beyond it.
-    r1 = _first_failing(
-        list(range(0, d + 1)),
-        lambda j: suffix_atleast(n - 1, v._prefix[j], p[j] + s))
-    if r1 is None or r1 == 0:
-        raise InternalError("no valid segment for the first right endpoint")
-    entries: List[Tuple[int, int]] = [(1, r1)]
-
-    for k in range(2, n + 1):
-        prev_r = entries[-1][1]
-        lo_pt, hi_pt = p[prev_r - 1] + s, p[prev_r] + s
-        lcands = [j for j in range(1, d + 1)
-                  if p[j - 1] <= hi_pt and p[j] >= lo_pt]
-
-        def ell_pred(j):
-            # The last prefix piece may stretch right up to p_j - s, but
-            # never beyond its assigned segment.
-            copt = lp_opt(entries, min(p[j] - s, p[prev_r]))
-            if copt is None:
-                return True
-            return suffix_atleast(n - k + 1, copt, p[j])
-
-        ell = _first_failing(lcands, ell_pred)
-        if ell is None:
-            raise InternalError(f"no left-endpoint segment found at piece {k}")
-
-        if k == n:
-            # The last piece ends at the cake's right end.
-            entries.append((ell, d))
-            break
-
-        rcands = list(range(ell, d + 1))
-
-        def r_pred(j):
-            copt = lp_opt(entries + [(ell, j)], p[j])
-            if copt is None:
-                return True
-            return suffix_atleast(n - k, copt, p[j] + s)
-
-        rk = _first_failing(rcands, r_pred)
-        if rk is None:
-            raise InternalError(f"no right-endpoint segment found at piece {k}")
-        entries.append((ell, rk))
-
-    return IntervalList(tuple(entries))
+    def slot(x):
+        return min(bisect_right(v.breakpoints, x), d)
+    return tuple((slot(p.left), slot(p.right)) for p in part.pieces)
 
 
 # -- the parametric greedy engine ----------------------------------------------
@@ -477,9 +384,9 @@ def brute_mms_interval_enum(v: PiecewiseConstantValuation, n: int, s,
     """
     if v.topology is not Topology.CAKE:
         raise InputError("the enumeration oracle runs on cakes")
+    s = _check_params(n, s)
     if n == 1:
         return ONE
-    s = _check_params(n, s)
     d = len(v.densities)
     free = 2 * n - 2
     count = 1
@@ -491,9 +398,9 @@ def brute_mms_interval_enum(v: PiecewiseConstantValuation, n: int, s,
     for entries in _slot_pairs(d, n):
         if not _forward_feasible(entries, v.breakpoints, s, ONE):
             continue
-        sol = solve_lp_exact(LPInstance(v, s, ONE, IntervalList(entries)))
-        if sol.status == simplex.OPTIMAL and sol.objective > best:
-            best = sol.objective
+        sol = solve_lp_exact(v, s, ONE, entries)
+        if sol is not None and sol[0] > best:
+            best = sol[0]
     return best
 
 

@@ -20,9 +20,10 @@ this setting.  Every allocation is exactly s-separated:
   cells from one generator of staircase cells, ``_kuhn_cells``.
 
 Both exact enumerations (``_envy_free_exact``, and ``_equitable_exact``,
-which is kept as an independent check of the equitable solver) build their
-LPs from the slot-pinned placement model of ``exact_mms``: the placement
-rows are shared, and each adds only its own rows ('every piece is worth
+an independent check of the equitable solver) take their candidates from
+``_slot_candidates``: for each slot assignment of the endpoints in the
+placement model of ``exact_mms``, the placement rows and every agent's
+value of every piece.  Each adds only its own rows ('every piece is worth
 c', or 'no agent values another piece above her own').
 """
 
@@ -124,6 +125,25 @@ def _merged_slots(vs, lo, hi):
     return edges, dens, prefix
 
 
+def _slot_candidates(vs, s, lo, hi, nvars):
+    """For every slot assignment of the ends of the pieces [lo, x_1],
+    [x_1+s, x_2], .., [x_{n-1}+s, hi] on the merged breakpoints of vs whose
+    constant ends fit their slots: the placement rows over ``nvars``
+    columns, and values[agent][q], each agent's value of piece q as an
+    affine form over those columns."""
+    n = len(vs)
+    edges, dens, prefix = _merged_slots(vs, lo, hi)
+    exprs = _position_exprs(n, s, lo, hi)
+    for pairs in _slot_pairs(len(edges) - 1, n):
+        rows = _placement_rows(edges, exprs, pairs, nvars)
+        if rows is None:
+            continue
+        yield rows, [[_piece_value(edges, dens[agent], prefix[agent], left,
+                                   right, a, b, nvars)
+                      for (left, right), (a, b) in zip(exprs, pairs)]
+                     for agent in range(n)]
+
+
 def _pieces_at(xs, s, lo, hi) -> Optional[Tuple[Interval, ...]]:
     """Pieces [lo, x_1], [x_1+s, x_2], .., [x_{n-1}+s, hi]; None when one
     of them would run backwards."""
@@ -134,26 +154,19 @@ def _pieces_at(xs, s, lo, hi) -> Optional[Tuple[Interval, ...]]:
     return tuple([Interval(a, b) for a, b in zip(lefts, rights)])
 
 
+# No caller in the library; kept while bench/tracing.py names it.
 def _equitable_exact(vs, s, order, lo, hi) -> Tuple[Interval, ...]:
-    """Exact equitable pieces for a fixed order: enumerate the segment
-    slot of every interior endpoint, then each candidate is one small
-    feasibility LP with equality constraints 'every piece is worth c'."""
+    """Exact equitable pieces for a fixed order: each slot assignment of
+    the endpoints is one small feasibility LP with equality constraints
+    'every piece is worth c' (c the last column)."""
     n = len(vs)
-    edges, dens, prefix = _merged_slots(vs, lo, hi)
-    exprs = _position_exprs(n, s, lo, hi)
-    nvars = n            # x_1 .. x_{n-1}, c
-    for pairs in _slot_pairs(len(edges) - 1, n):
-        rows = _placement_rows(edges, exprs, pairs, nvars)
-        if rows is None:
-            continue
+    for rows, values in _slot_candidates(vs, s, lo, hi, n):
         a_eq, b_eq = [], []
-        for (left, right), (a, b), agent in zip(exprs, pairs, order):
-            coeffs, const = _piece_value(edges, dens[agent], prefix[agent],
-                                         left, right, a, b, nvars)
-            coeffs[-1] = -ONE                    # piece value == c
-            a_eq.append(coeffs)
+        for q, agent in enumerate(order):
+            coeffs, const = values[agent][q]
+            a_eq.append([*coeffs[:-1], -ONE])       # piece value == c
             b_eq.append(-const)
-        res = simplex.solve_lp([ZERO] * nvars, *rows, a_eq, b_eq)
+        res = simplex.solve_lp([ZERO] * n, *rows, a_eq, b_eq)
         if res.status != simplex.OPTIMAL:
             continue
         pieces = _pieces_at(res.x[:n - 1], s, lo, hi)
@@ -303,22 +316,11 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
 
 
 def _envy_free_exact(vs, s, lo, hi):
-    """Zero-envy fallback: enumerate segment slots of the interior
-    endpoints and the agent-to-piece assignment; each candidate is a small
-    feasibility LP whose constraints say everyone prefers her own piece."""
+    """Zero-envy fallback: for each slot assignment of the endpoints and
+    each agent-to-piece assignment, one small feasibility LP whose
+    constraints say everyone prefers her own piece."""
     n = len(vs)
-    edges, dens, prefix = _merged_slots(vs, lo, hi)
-    exprs = _position_exprs(n, s, lo, hi)
-    nvars = n - 1
-    for pairs in _slot_pairs(len(edges) - 1, n):
-        rows = _placement_rows(edges, exprs, pairs, nvars)
-        if rows is None:
-            continue
-        # values[agent][q]: the agent's value of piece q as an affine form
-        values = [[_piece_value(edges, dens[agent], prefix[agent], left,
-                                right, a, b, nvars)
-                   for (left, right), (a, b) in zip(exprs, pairs)]
-                  for agent in range(n)]
+    for rows, values in _slot_candidates(vs, s, lo, hi, n - 1):
         for assign in permutations(range(n)):
             # assign[j] = agent receiving piece j
             a_ub, b_ub = list(rows[0]), list(rows[1])
@@ -329,7 +331,7 @@ def _envy_free_exact(vs, s, lo, hi):
                         a_ub.append([oc - sc for oc, sc
                                      in zip(coeffs, own_coeffs)])
                         b_ub.append(own_const - const)
-            res = simplex.solve_lp([ZERO] * nvars, a_ub, b_ub)
+            res = simplex.solve_lp([ZERO] * (n - 1), a_ub, b_ub)
             if res.status != simplex.OPTIMAL:
                 continue
             pieces = _pieces_at(res.x, s, lo, hi)

@@ -60,9 +60,6 @@ class Interval:
             return self.right - self.left
         return (self.right - self.left) % ONE
 
-    def as_pair(self):
-        return (self.left, self.right)
-
 
 class PiecewiseConstantValuation:
     """Step density given by breakpoints ``p_0=0 < ... < p_d=1`` and one
@@ -122,10 +119,6 @@ class PiecewiseConstantValuation:
         return cls(bps, [g / total for g in dens], topology)
 
     # -- basic queries ---------------------------------------------------------
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.densities)
 
     def prefix(self, x: Fraction) -> Fraction:
         """Value of [0, x], exact."""
@@ -190,11 +183,6 @@ class PiecewiseConstantValuation:
 # -- operations ----------------------------------------------------------------
 
 
-def value(v: PiecewiseConstantValuation, piece: Interval) -> Fraction:
-    """Exact integral of the density of ``v`` over ``piece``."""
-    return v.value(piece)
-
-
 def cut_leftmost(v: PiecewiseConstantValuation, x: Fraction, alpha: Fraction,
                  end: Optional[Fraction] = None) -> Optional[Fraction]:
     """First point y (clockwise from x on a pie) with value(v, [x, y]) == alpha.
@@ -249,15 +237,6 @@ def cut_rightmost(v: PiecewiseConstantValuation, x: Fraction,
         return ONE
     return (v.breakpoints[j - 1]
             + (target - v._prefix[j - 1]) / v.densities[j - 1])
-
-
-def flip(v: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
-    """Reflect the cake: the result values [a, b] like v values [1-b, 1-a]."""
-    if v.topology is not Topology.CAKE:
-        raise InputError("flip is defined on the cake only")
-    bps = [ONE - p for p in reversed(v.breakpoints)]
-    dens = tuple(reversed(v.densities))
-    return PiecewiseConstantValuation(bps, dens, Topology.CAKE)
 
 
 def minimum_window_value(v: PiecewiseConstantValuation,

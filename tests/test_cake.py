@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,11 @@ from sepfair.cake import (Relation, approx_mms, decide, mms_fair_allocation,
                           ordinal_allocation_2n_minus_1)
 from sepfair.errors import InputError, ProtocolError
 from sepfair.exact_mms import exact_mms
-from sepfair.sessions import QuerySession
+from sepfair.sessions import QuerySession, SubcakeSession
 from sepfair.valuations import Interval
 
-from helpers import (THIRDS, UNIFORM, random_separation, random_valuation,
-                     verify_allocation, verify_partition)
+from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, random_separation,
+                     random_valuation, verify_allocation, verify_partition)
 
 
 def sess(v):
@@ -23,7 +24,7 @@ class TestDecide:
         s = sess(THIRDS)
         ok, witness = decide(s, 2, F(1, 3), F(2, 5), Relation.AT_LEAST)
         assert ok
-        assert [p.as_pair() for p in witness.pieces] == \
+        assert [(p.left, p.right) for p in witness.pieces] == \
             [(F(0), F(1, 3)), (F(2, 3), F(1))]
         assert s.query_count <= 2
 
@@ -49,6 +50,13 @@ class TestDecide:
     def test_bad_separation_rejected(self):
         with pytest.raises(InputError):
             decide(sess(UNIFORM), 3, F(1, 2), F(1, 10), Relation.AT_LEAST)
+        # on a subcake of length 1/2, three pieces fit only for s < 1/4
+        message = re.escape("separation 2/5 outside (0, 1/4)")
+        sub = SubcakeSession(sess(UNIFORM_PIE), offset=0, length=F(1, 2))
+        with pytest.raises(InputError, match=message):
+            decide(sub, 3, F(2, 5), F(-1, 10), Relation.GREATER)
+        with pytest.raises(InputError, match=message):
+            approx_mms(sub, 3, F(2, 5), F(1, 8))
 
     def test_budgets_on_random_instances(self):
         rng = random.Random(42)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +7,9 @@ import pytest
 from sepfair import simplex
 from sepfair.cake import Allocation, Relation, decide
 from sepfair.errors import InputError
-from sepfair.exact_mms import (IntervalList, LPInstance, _max_share,
-                               brute_mms_interval_enum, exact_mms,
-                               exact_mms_allocation, explicit_decide_greater,
-                               pie_exact_mms, select_interval_list,
-                               solve_lp_exact)
+from sepfair.exact_mms import (_max_share, brute_mms_interval_enum, exact_mms,
+                               exact_mms_allocation, pie_exact_mms,
+                               select_interval_list, solve_lp_exact)
 from sepfair.fairness import equitable_bisection, fairness_check, pie_equitable
 from sepfair.sessions import QuerySession
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
@@ -41,41 +40,49 @@ def assert_optimal_witness(v, n, s):
 class TestLP:
     def test_all_cuts_fixed(self):
         # k = 1: both endpoints pinned, the optimum is the piece value
-        lp = LPInstance(UNIFORM, F(1, 5), F(1), IntervalList(((1, 1),)))
-        sol = solve_lp_exact(lp)
-        assert sol.status == simplex.OPTIMAL
-        assert sol.objective == 1
+        c, cuts = solve_lp_exact(UNIFORM, F(1, 5), F(1), ((1, 1),))
+        assert c == 1
+        assert cuts == (F(-1, 5), F(1))
 
     def test_uniform_two_pieces(self):
-        lp = LPInstance(UNIFORM, F(1, 5), F(1), IntervalList(((1, 1), (1, 1))))
-        sol = solve_lp_exact(lp)
-        assert sol.objective == F(2, 5)
+        c, cuts = solve_lp_exact(UNIFORM, F(1, 5), F(1), ((1, 1), (1, 1)))
+        assert c == F(2, 5)
+        assert cuts == (F(-1, 5), F(2, 5), F(1))
 
     def test_infeasible_membership(self):
         # the last piece must end at t = 1, which is outside segment 1
-        lp = LPInstance(THIRDS, F(1, 3), F(1), IntervalList(((1, 1), (1, 1))))
-        sol = solve_lp_exact(lp)
-        assert sol.status == simplex.INFEASIBLE
+        assert solve_lp_exact(THIRDS, F(1, 3), F(1), ((1, 1), (1, 1))) is None
 
     def test_worked_example_list(self):
-        lp = LPInstance(THIRDS, F(1, 3), F(1), IntervalList(((1, 2), (3, 3))))
-        sol = solve_lp_exact(lp)
-        assert sol.objective == F(2, 5)
+        c, _ = solve_lp_exact(THIRDS, F(1, 3), F(1), ((1, 2), (3, 3)))
+        assert c == F(2, 5)
 
     def test_monotonicity_rejected(self):
-        with pytest.raises(InputError):
-            IntervalList(((2, 1),))
+        with pytest.raises(InputError, match="not monotone"):
+            solve_lp_exact(THIRDS, F(1, 10), F(1), ((2, 1),))
+
+    @pytest.mark.parametrize("s, entries, message", [
+        (F(1, 10), ((0, 1),), "1-based"),
+        (F(1, 10), ((1, 2), (3, 4)), "beyond the last segment"),
+        (F(1, 10), (), "need at least one part"),
+        (F(-1, 5), ((1, 1), (3, 3)), "separation -1/5 outside")])
+    def test_bad_input_rejected(self, s, entries, message):
+        with pytest.raises(InputError, match=message):
+            solve_lp_exact(THIRDS, s, F(1), entries)
 
 
 class TestSelectIntervalList:
     def test_worked_example(self):
-        assert select_interval_list(THIRDS, 2, F(1, 3)).entries == \
-            ((1, 2), (3, 3))
+        assert select_interval_list(THIRDS, 2, F(1, 3)) == ((1, 2), (3, 3))
 
     def test_uniform_single_segment(self):
         for n in (2, 3):
             got = select_interval_list(UNIFORM, n, F(1, 2 * n))
-            assert got.entries == tuple((1, 1) for _ in range(n))
+            assert got == tuple((1, 1) for _ in range(n))
+
+    def test_pie_rejected(self):
+        with pytest.raises(InputError, match="exact_mms runs on cakes"):
+            select_interval_list(UNIFORM_PIE, 2, F(1, 5))
 
 
 class TestExactMms:
@@ -150,18 +157,16 @@ class TestShareEngine:
             assert assert_optimal_witness(v, n, s) == share
 
     def test_matches_retired_lp_path(self):
+        # the LP pinned to the segments of the witness's endpoints reaches
+        # exactly the walk's share, zero shares included
         rng = random.Random(602)
         for _ in range(8):
             n = rng.randint(4, 6)
             v = random_valuation(rng, max_segments=8, zero_prob=0.3)
             s = random_separation(rng, F(1, n - 1))
             share = cake_engine(v, n, s)
-            if not explicit_decide_greater(v, n, s, F(0)):
-                assert share == 0
-                continue
-            sol = solve_lp_exact(
-                LPInstance(v, s, F(1), select_interval_list(v, n, s)))
-            assert share == sol.objective
+            c, _ = solve_lp_exact(v, s, F(1), select_interval_list(v, n, s))
+            assert c == share
             assert assert_optimal_witness(v, n, s) == share
 
     def test_pie_matches_enumeration_oracle(self):
@@ -272,6 +277,11 @@ class TestBruteOracle:
 
     def test_uniform(self):
         assert brute_mms_interval_enum(UNIFORM, 2, F(1, 5)) == F(2, 5)
+
+    def test_separation_checked_for_one_piece(self):
+        with pytest.raises(InputError,
+                           match=re.escape("separation -1 outside (0, 1)")):
+            brute_mms_interval_enum(UNIFORM, 1, -1)
 
     def test_size_guard(self):
         v = random_valuation(random.Random(0), max_segments=4)

@@ -239,7 +239,7 @@ class TestApproxMms:
             eps = (F(1, 6), F(1, 20), F(2, 37))[idx % 3]
             v = random_valuation(rng, Topology.PIE, max_segments=8,
                                  zero_prob=0.3)
-            if idx % 2 and v.segment_count > 1 and any(v.densities[:-1]):
+            if idx % 2 and len(v.densities) > 1 and any(v.densities[:-1]):
                 v = pie(v.breakpoints, v.densities[:-1] + (0,))
                 worthless_end += 1
             s = random_separation(rng, F(1, k))

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sepfair.errors import InputError
 from sepfair.rationals import frac
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
-                                Topology, cut_leftmost, cut_rightmost, flip,
-                                minimum_window_value, value,
-                                pieces_separated)
+                                Topology, cut_leftmost, cut_rightmost,
+                                minimum_window_value, pieces_separated)
 
 from helpers import THIRDS, UNIFORM, UNIFORM_PIE, random_valuation
 
@@ -17,22 +16,22 @@ rationals = st.fractions(min_value=0, max_value=1, max_denominator=48)
 
 
 def test_uniform_integral():
-    assert value(UNIFORM, Interval(F(1, 5), F(1, 2))) == F(3, 10)
+    assert UNIFORM.value(Interval(F(1, 5), F(1, 2))) == F(3, 10)
 
 
 def test_worked_example_prefix():
-    assert value(THIRDS, Interval(0, F(1, 3))) == F(2, 5)
-    assert value(THIRDS, Interval(F(1, 3), F(2, 3))) == 0
-    assert value(THIRDS, Interval(F(2, 3), 1)) == F(3, 5)
+    assert THIRDS.value(Interval(0, F(1, 3))) == F(2, 5)
+    assert THIRDS.value(Interval(F(1, 3), F(2, 3))) == 0
+    assert THIRDS.value(Interval(F(2, 3), 1)) == F(3, 5)
 
 
 def test_degenerate_interval_is_zero():
-    assert value(THIRDS, Interval(F(1, 2), F(1, 2))) == 0
+    assert THIRDS.value(Interval(F(1, 2), F(1, 2))) == 0
 
 
 def test_out_of_domain_errors():
     with pytest.raises(InputError):
-        value(UNIFORM, Interval(F(1, 2), F(3, 2)))
+        UNIFORM.value(Interval(F(1, 2), F(3, 2)))
     with pytest.raises(InputError):
         UNIFORM.value_between(F(3, 4), F(1, 4))
 
@@ -138,32 +137,6 @@ def test_cut_rightmost_examples():
 def test_cut_rightmost_rejects_pie():
     with pytest.raises(InputError):
         cut_rightmost(UNIFORM_PIE, 0, F(1, 2))
-
-
-def test_flip_worked_example():
-    flipped = flip(THIRDS)
-    assert flipped.densities == (F(9, 5), F(0), F(6, 5))
-    assert flip(UNIFORM) == UNIFORM
-
-
-def test_flip_rejects_pie():
-    with pytest.raises(InputError):
-        flip(UNIFORM_PIE)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_flip_involution(rnd):
-    v = random_valuation(rnd)
-    assert flip(flip(v)) == v
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), rationals, rationals)
-def test_flip_reflects_values(rnd, a, b):
-    v = random_valuation(rnd)
-    a, b = min(a, b), max(a, b)
-    assert flip(v).value_between(a, b) == v.value_between(1 - b, 1 - a)
 
 
 @settings(max_examples=40, deadline=None)

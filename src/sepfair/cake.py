@@ -203,9 +203,9 @@ def mms_fair_allocation(sessions: Sequence, s,
     n = len(sessions)
     if n != len(thresholds):
         raise InputError("one threshold per session required")
-    s = _check_params(n, s)
+    end = sessions[0].domain_end if sessions else ONE
+    s = _check_params(n, s, end)
     thresholds = [frac(t) for t in thresholds]
-    end = sessions[0].domain_end
     remaining = list(range(n))
     assignment: Dict[int, Interval] = {}
     pos = ZERO
@@ -253,8 +253,8 @@ def ordinal_allocation_2n_minus_1(sessions: Sequence, s) -> Allocation:
     """
     n = len(sessions)
     parts = 2 * n - 1
-    s = _check_params(parts, s)
-    end = sessions[0].domain_end
+    end = sessions[0].domain_end if sessions else ONE
+    s = _check_params(parts, s, end)
     remaining = list(range(n))
     assignment: Dict[int, Interval] = {}
     start = ZERO

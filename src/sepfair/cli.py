@@ -28,8 +28,7 @@ from .cake import (Relation, decide, approx_mms, mms_fair_allocation,
                    ordinal_allocation_2n_minus_1)
 from .errors import InputError, ProtocolError, SepfairError
 from .exact_mms import exact_mms, exact_mms_allocation
-from .fairness import (equitable_bisection, envy_free_sperner, fairness_check,
-                       pie_envy_free, pie_equitable)
+from .fairness import equitable_bisection, envy_free_sperner, fairness_check
 from .instances import (Instance, allocation_to_json, instance_to_json,
                         load_allocation, load_instance)
 from .pie import (pie_allocation_ordinal, pie_approx_mms,
@@ -269,17 +268,10 @@ def _run_allocate(args, inst):
         return (allocation_to_json(alloc, inst, queries), sessions)
     if args.criterion == "ef":
         eps_ef = eps if eps is not None else Fraction(1, 10**6)
-        if inst.topology is Topology.CAKE:
-            alloc = envy_free_sperner(inst.agents, inst.s, eps_ef)
-        else:
-            alloc = pie_envy_free(inst.agents, inst.s, eps_ef)
-        return (allocation_to_json(alloc, inst, None), [])
-    # equitable
-    eps_eq = eps if eps is not None else Fraction(1, 10**9)
-    if inst.topology is Topology.CAKE:
+        alloc = envy_free_sperner(inst.agents, inst.s, eps_ef)
+    else:       # equitable
+        eps_eq = eps if eps is not None else Fraction(1, 10**9)
         alloc = equitable_bisection(inst.agents, inst.s, None, eps_eq)
-    else:
-        alloc = pie_equitable(inst.agents, inst.s, None, eps_eq)
     return (allocation_to_json(alloc, inst, None), [])
 
 

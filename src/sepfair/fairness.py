@@ -2,14 +2,16 @@
 
 Both solvers here work on explicit valuations (not query sessions): no
 finite query protocol can produce exact envy-free or equitable outcomes in
-this setting.  Every allocation is exactly s-separated:
+this setting.  The valuations share one topology.  On a cake the pieces
+fill [0, 1]; on a pie they fill [s, 1], leaving the separator [0, s], and a
+piece that ends at 1 ends at 0.  Every allocation is exactly s-separated:
 
 * ``equitable_bisection`` is exact.  For a fixed order of the agents the
   equitable value is unique and is the largest c for which pieces worth at
   least c fit; the share walk ``_max_share`` of ``exact_mms`` finds it, and
   ``_pieces_worth`` places pieces worth exactly c.  No LP is solved.
 * ``envy_free_sperner`` is an eps-approximation.  It triangulates the
-  simplex of piece lengths (summing to the domain length minus (n-1)s),
+  simplex of piece lengths (summing to the stretch's length minus (n-1)s),
   owners rotate round-robin over grid parity, each vertex gets labeled
   with its owner's favorite piece, and a fully-labeled cell is refined by
   halving until the measured envy at its barycenter is within eps.  A full
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Optional, Sequence, Tuple
 
 from . import simplex
@@ -61,19 +63,27 @@ class FairnessReport:
         }
 
 
-def _domain_and_width(vs, s, domain):
-    """s, lo, hi and the length left to the pieces, for one topology and a
-    domain that the pieces fit and that, on a pie, leaves the wrap gap."""
+def _stretch(vs, s):
+    """s, the start lo of the stretch [lo, 1] that the pieces fill, and the
+    length left to them: [0, 1] on a cake, [s, 1] on a pie, whose n pieces
+    and n separators are checked as n + 1 pieces."""
     n = len(vs)
-    lo, hi = frac(domain[0]), frac(domain[1])
-    s = _check_params(n, s, hi - lo)
-    topology = vs[0].topology
-    if any(v.topology is not topology for v in vs):
+    topologies = {v.topology for v in vs}
+    if len(topologies) > 1:
         raise InputError("valuations mix cake and pie")
-    room = ONE - s if topology is Topology.PIE else ONE
-    if not ZERO <= hi - lo <= room:
-        raise InputError(f"domain [{lo}, {hi}] needs length in [0, {room}]")
-    return s, lo, hi, hi - lo - (n - 1) * s
+    pie = Topology.PIE in topologies
+    s = _check_params(n + 1 if pie else n, s)
+    lo = s if pie else ZERO
+    return s, lo, ONE - lo - (n - 1) * s
+
+
+def _allocation(vs, s, assignment) -> Allocation:
+    """The solvers' result in the topology of vs; on a pie both ends are
+    read mod 1, so a piece that ends at 1 ends at 0."""
+    if vs[0].topology is Topology.PIE:
+        assignment = {i: Interval(piece.left % ONE, piece.right % ONE)
+                      for i, piece in assignment.items()}
+    return Allocation(s, assignment, vs[0].topology)
 
 
 # -- equitable -------------------------------------------------------------------
@@ -81,10 +91,10 @@ def _domain_and_width(vs, s, domain):
 
 def equitable_bisection(vs: Sequence[PiecewiseConstantValuation], s,
                         order: Optional[Sequence[int]] = None,
-                        eps=Fraction(1, 10**9),
-                        domain=(ZERO, ONE)) -> Allocation:
+                        eps=Fraction(1, 10**9)) -> Allocation:
     """Exactly separated allocation, agents placed left to right in the
-    given order, all own-piece values exactly equal.
+    given order, all own-piece values exactly equal.  The pieces fill
+    [0, 1] on a cake and [s, 1] on a pie.
 
     For a fixed order the equitable value is unique and equals the largest
     c for which pieces worth at least c fit, which the share walk
@@ -93,19 +103,18 @@ def equitable_bisection(vs: Sequence[PiecewiseConstantValuation], s,
     is kept for callers that pass it.
     """
     n = len(vs)
-    eps = frac(eps)
-    if eps <= 0:
+    if frac(eps) <= 0:
         raise InputError("eps must be positive")
     if order is None:
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise InputError(f"not a permutation of the agents: {order}")
-    s, lo, hi, _ = _domain_and_width(vs, s, domain)
+    s, lo, _ = _stretch(vs, s)
     placed = [vs[agent] for agent in order]
     c = _max_share([(v.breakpoints, v.densities, v._prefix) for v in placed],
-                   lo, hi, s)
-    pieces = _pieces_worth(placed, c, lo, hi, s)
-    return Allocation(s, dict(zip(order, pieces)), vs[0].topology)
+                   lo, ONE, s)
+    pieces = _pieces_worth(placed, c, lo, ONE, s)
+    return _allocation(vs, s, dict(zip(order, pieces)))
 
 
 def _merged_slots(vs, lo, hi):
@@ -219,7 +228,7 @@ def _cells_at(m: int, n: int):
     0 <= y_1 <= ... <= y_{n-1} <= m, each as its vertex walk."""
     def ok(y):
         return all(a <= b for a, b in zip(y, y[1:])) and y[-1] <= m
-    return _kuhn_cells(filter(ok, product(range(m + 1), repeat=n - 1)), ok)
+    return _kuhn_cells(combinations_with_replacement(range(m + 1), n - 1), ok)
 
 
 def _fully_labeled(verts, m, n, s, lo, width, vs, cache):
@@ -252,9 +261,9 @@ def _refine_cell(verts, n: int):
 
 
 def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
-                      eps=Fraction(1, 10**6),
-                      domain=(ZERO, ONE)) -> Allocation:
+                      eps=Fraction(1, 10**6)) -> Allocation:
     """Exactly separated allocation with every pairwise envy at most eps.
+    The pieces fill [0, 1] on a cake and [s, 1] on a pie.
 
     Triangulate the simplex of piece lengths, let agents own grid vertices
     round-robin (every cell sees each agent once), label each vertex with
@@ -267,21 +276,21 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
     eps = frac(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    s, lo_dom, hi_dom, width = _domain_and_width(vs, s, domain)
+    s, lo, width = _stretch(vs, s)
     if n == 1:
-        return Allocation(s, {0: Interval(lo_dom, hi_dom)}, vs[0].topology)
+        return _allocation(vs, s, {0: Interval(lo, ONE)})
 
     cache: dict = {}
 
     def first_labeled(cells, m):
         return next((verts for verts in cells if _fully_labeled(
-            verts, m, n, s, lo_dom, width, vs, cache)), None)
+            verts, m, n, s, lo, width, vs, cache)), None)
 
     def cell_allocation(verts, m):
         # from a list: tuple(<genexpr>) shrinks onto a free list
         bary = tuple([Fraction(sum(y[i] for y in verts), n)
                       for i in range(n - 1)])
-        pieces = _vertex_pieces(bary, m, n, s, lo_dom, width)
+        pieces = _vertex_pieces(bary, m, n, s, lo, width)
         assignment = {_color(y, n): cache[(m, y)] for y in verts}
         alloc = {i: pieces[assignment[i]] for i in range(n)}
         values = [[v.value_between(p.left, p.right) for p in pieces]
@@ -297,7 +306,7 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
             raise InternalError("a fully-labeled cell must exist")
         alloc, envy = cell_allocation(cell, m)
         if envy <= eps:
-            return Allocation(s, alloc, vs[0].topology)
+            return _allocation(vs, s, alloc)
         sub = first_labeled(_refine_cell(cell, n), 2 * m)
         if sub is not None:
             cell, m = sub, 2 * m
@@ -306,10 +315,9 @@ def envy_free_sperner(vs: Sequence[PiecewiseConstantValuation], s,
         # past a sane grid size hand over to the exact solver.
         m_global *= 2
         if m_global > 256:
-            pieces, assignment = _envy_free_exact(vs, s, lo_dom, hi_dom)
-            return Allocation(
-                s, {i: pieces[assignment[i]] for i in range(n)},
-                vs[0].topology)
+            pieces, assignment = _envy_free_exact(vs, s, lo, ONE)
+            return _allocation(
+                vs, s, {i: pieces[assignment[i]] for i in range(n)})
         m = m_global
         cell = first_labeled(_cells_at(m, n), m)
     raise InternalError("refinement failed to reach the envy target")
@@ -377,31 +385,6 @@ def fairness_check(alloc: Allocation,
     return FairnessReport(envy, gap, sep_ok, tuple(dominance))
 
 
-# -- pie wrappers ----------------------------------------------------------------
-
-
-def _pie_domain_check(vs, s):
-    if any(v.topology is not Topology.PIE for v in vs):
-        raise InputError("expected pie valuations")
-    return _check_params(len(vs) + 1, s)
-
-
-def pie_envy_free(vs, s, eps=Fraction(1, 10**6)) -> Allocation:
-    """Insert one separator at [0, s] and solve the rest as a cake."""
-    s = _pie_domain_check(vs, s)
-    alloc = envy_free_sperner(vs, s, eps, domain=(s, ONE))
-    return _wrap_pie(alloc)
-
-
-def pie_equitable(vs, s, order=None, eps=Fraction(1, 10**9)) -> Allocation:
-    s = _pie_domain_check(vs, s)
-    alloc = equitable_bisection(vs, s, order, eps, domain=(s, ONE))
-    return _wrap_pie(alloc)
-
-
-def _wrap_pie(alloc: Allocation) -> Allocation:
-    assignment = {
-        i: Interval(piece.left % ONE, piece.right % ONE)
-        for i, piece in alloc.assignment.items()
-    }
-    return Allocation(alloc.s, assignment, Topology.PIE)
+# Kept as names: bench/slow_cases.py imports one, sepfair.__all__ both.
+pie_envy_free = envy_free_sperner
+pie_equitable = equitable_bisection

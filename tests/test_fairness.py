@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -90,7 +91,7 @@ class TestEquitable:
             vs = [random_valuation(rng, max_segments=6) for _ in range(4)]
             s = random_separation(rng, F(1, 3)) / 2
         assert s == F(1, 16)
-        assert_equitable(equitable_bisection(vs, s), vs, s, F(0))
+        assert_equitable(equitable_bisection(vs, s), vs, s)
 
     @pytest.mark.parametrize("pie", [False, True])
     def test_larger_sweep(self, pie):
@@ -103,9 +104,7 @@ class TestEquitable:
                                    zero_prob=0.3) for _ in range(n)]
             order = list(range(n))
             rng.shuffle(order)
-            lo = s if pie else F(0)
-            alloc = equitable_bisection(vs, s, order, domain=(lo, F(1)))
-            assert_equitable(alloc, vs, s, lo, order)
+            assert_equitable(equitable_bisection(vs, s, order), vs, s, order)
 
 
 class TestEnvyFree:
@@ -162,10 +161,16 @@ def worth(v, piece):
     return v.value_between(piece.left, piece.right)
 
 
-def assert_equitable(alloc, vs, s, lo, order=None):
-    """Agents in order from lo to 1 with exact-s gaps, own values equal."""
+def assert_equitable(alloc, vs, s, order=None):
+    """Agents in order with exact-s gaps, own values equal: on a cake from
+    0 to 1, on a pie from s round to 0, with the wrap gap [0, s] exact."""
     order = range(len(vs)) if order is None else order
-    assert_exact_gaps([alloc.assignment[a] for a in order], s, lo, F(1))
+    pieces = [alloc.assignment[a] for a in order]
+    if alloc.topology is Topology.PIE:
+        assert pieces[0].left == s and pieces[-1].right == 0
+        assert pieces_separated(pieces, s, Topology.PIE, exact=True)
+    else:
+        assert_exact_gaps(pieces, s, F(0), F(1))
     assert len({worth(v, alloc.assignment[a]) for a, v in enumerate(vs)}) == 1
 
 
@@ -181,7 +186,7 @@ class TestExactFallbacks:
                       for agent, piece in zip(order, pieces)}
             assert len(values) == 1
             # the equitable value of a fixed order is unique
-            alloc = equitable_bisection(vs, s, order, domain=(lo, F(1)))
+            alloc = equitable_bisection(vs, s, order)
             assert {worth(vs[agent], alloc.assignment[agent])
                     for agent in order} == values
 
@@ -215,9 +220,16 @@ def test_vertex_labels_point_at_nonempty_pieces():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_refinement_tiles_the_finer_grid(n):
-    # every cell halves into 2^(n-1) cells of the doubled grid, and together
-    # the halves are the doubled grid's cells, each once
+    # the global scan starts a cell at every monotone base in sorted order
+    # (a base with y_{n-1} = m has no cell); every cell halves into 2^(n-1)
+    # cells of the doubled grid, and together the halves are the doubled
+    # grid's cells, each once
     for m in (1, 2, 4):
+        bases = [cell[0] for cell in _cells_at(m, n)]
+        assert bases == sorted(bases)
+        assert sorted(set(bases)) == [y for y in product(range(m),
+                                                         repeat=n - 1)
+                                      if list(y) == sorted(y)]
         halves = []
         for cell in _cells_at(m, n):
             inside = list(_refine_cell(cell, n))
@@ -350,15 +362,14 @@ def test_cake_solvers_keep_the_separation_rule(solver, n, s):
 @pytest.mark.parametrize("vs", ([UNIFORM_PIE] * 2, [UNIFORM, UNIFORM_PIE]),
                          ids=("pie", "mixed"))
 def test_cake_solvers_need_one_topology_and_the_wrap_gap(solver, vs):
-    # on a pie, pieces over all of [0, 1] could touch across 0
-    with pytest.raises(InputError):
-        solver(vs, F(1, 10))
-
-
-@pytest.mark.parametrize("solver", (equitable_bisection, envy_free_sperner))
-def test_cake_solvers_on_a_pie_domain_leaving_the_wrap_gap(solver):
+    # on a pie the pieces fill [s, 1], so the last keeps the gap [0, s]
+    # to the first across 0; a mix of cake and pie is refused
     s = F(1, 10)
-    alloc = solver([UNIFORM_PIE] * 2, s, domain=(F(0), 1 - s))
+    if len({v.topology for v in vs}) > 1:
+        with pytest.raises(InputError, match="mix cake and pie"):
+            solver(vs, s)
+        return
+    alloc = solver(vs, s)
     assert alloc.topology is Topology.PIE
     ordered = [piece for _, piece in alloc.pieces_in_order()]
     assert pieces_separated(ordered, s, Topology.PIE, exact=True)

@@ -269,6 +269,13 @@ class TestViaCake:
         assert alloc.assignment[0] == Interval(F(1, 10), F(0))
         assert UNIFORM_PIE.value(alloc.assignment[0]) == F(9, 10)
 
+    def test_ordinal_2n_checks_s_on_the_opened_pie(self):
+        # 5 parts fit a unit cake at s = 1/5, but not the opened pie [s, 1]
+        sessions = [sess(UNIFORM_PIE) for _ in range(3)]
+        with pytest.raises(InputError,
+                           match=re.escape("separation 1/5 outside (0, 1/5)")):
+            pie_via_cake_allocation(sessions, F(1, 5), "ordinal2n")
+
     def test_random_agents_ordinal_2n(self):
         rng = random.Random(15)
         for _ in range(4):

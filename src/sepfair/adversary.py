@@ -425,13 +425,12 @@ def cut_walk_candidate(sess, s, q, budget: int) -> bool:
 # -- uniform-or-not pie witnesses -------------------------------------------------
 
 
-def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
-                            return_partition: bool = False):
+def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord]):
     """Two pie valuations consistent with a transcript answered as if
-    uniform: v_low is uniform (k-piece share exactly (1-ks)/k) while
-    v_high concentrates value away from k hidden separator arcs so its
-    share strictly exceeds that.  With ``return_partition`` the k-piece
-    partition witnessing v_high's larger share is returned as well.
+    uniform, and a partition: v_low is uniform (k-piece share exactly
+    (1-ks)/k) while v_high concentrates value away from k hidden separator
+    arcs so its share strictly exceeds that.  The k-piece partition
+    returned third witnesses v_high's larger share.
 
     The hidden pieces have length r = (1-ks)/k with gaps s, rotated so no
     edge lands on a recorded point, and every piece and separator gets a
@@ -471,8 +470,5 @@ def pie_threshold_witnesses(k: int, s, transcript: Sequence[QueryRecord],
     in_separator = piece_edges.index(max(piece_edges)) % 2 == 1
     v_high = _lay_out_pie(marks, lambda p: p, set(piece_edges),
                           in_separator, HALF)
-    if return_partition:
-        pieces = tuple(Interval(*piece_edges[2 * j:2 * j + 2])
-                       for j in range(k))
-        return uniform, v_high, Partition(s, pieces)
-    return uniform, v_high
+    pieces = tuple(Interval(*piece_edges[2 * j:2 * j + 2]) for j in range(k))
+    return uniform, v_high, Partition(s, pieces)

@@ -303,7 +303,7 @@ def _run_adversary(args) -> dict:
                 "budget": args.budget, "solver": name,
                 "answer": out["answer"], "window_min": fmt(out["window_min"]),
                 "falsified": out["falsified"], "queries": out["queries"]}
-    v_low, v_high = adv.pie_threshold_witnesses(args.k, s, [])
+    v_low, v_high, _ = adv.pie_threshold_witnesses(args.k, s, [])
     low = instance_to_json(Instance(Topology.PIE, s, (v_low,)))
     high = instance_to_json(Instance(Topology.PIE, s, (v_high,)))
     return {"kind": "pie-witness", "k": args.k, "s": args.s,

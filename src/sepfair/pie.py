@@ -1,10 +1,10 @@
-"""Pie protocols: ordinal shares, threshold decisions, approximation.
+"""Pie protocols: ordinal allocations, threshold decisions, approximation.
 
 On a circle, n pieces need n separators and there is no natural starting
-point, so the cardinal guarantee available on a cake is out of reach; the
-protocols here either target ordinal benchmarks (1-out-of-(n+1) and its
-pluralistic generalization) or decide/approximate shares for a single
-agent.  As on the cake, agents are reached only through sessions.
+point, so a cake's cardinal guarantee is out of reach.  The allocations
+open the pie at s and run a cake protocol on [s, 1] to reach ordinal
+levels (1-out-of-(n+1) and its plural generalization); the rest decide or
+approximate one agent's share.  Agents are reached only through sessions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cake import (Allocation, Partition, _check_params, _greater,
                    _trivial_partition, approx_mms, mms_fair_allocation,
@@ -25,14 +25,15 @@ from .valuations import ONE, ZERO, Interval, Topology
 
 def pie_allocation_ordinal(sessions: Sequence, s, ells: Sequence[int],
                            thresholds: Sequence) -> Allocation:
-    """Moving-knife around the circle on caller-supplied thresholds.
+    """The cake's moving knife on the pie opened at s, on the caller's
+    thresholds: n(n+1)/2 queries, n(n+1)/2 - 1 cuts and 1 eval.
 
     Sound whenever thresholds[i] is at most agent i's ell_i-out-of-
-    (ell_i*n+1) guaranteed share.  Every round each remaining agent marks
-    the first point clockwise worth her threshold; the nearest mark wins.
-    The last agent also receives a piece worth exactly her threshold, not
-    the remainder: the slack left behind is what guarantees the wrap-around
-    separator.  Uses n(n+1)/2 cut queries.
+    (ell_i*n+1) share: the separator [0, s] destroys at most one piece of
+    her best such partition, and the ell_i*n pieces left on [s, 1], taken
+    ell_i consecutive pieces at a time, make n separated pieces worth
+    thresholds[i] or more each.  So ``mms_fair_allocation`` on [s, 1]
+    serves every agent; the last keeps the rest, which one eval checks.
     """
     n = len(sessions)
     if not (len(ells) == len(thresholds) == n):
@@ -45,33 +46,26 @@ def pie_allocation_ordinal(sessions: Sequence, s, ells: Sequence[int],
     thresholds = [frac(t) for t in thresholds]
     if any(not (ZERO <= t <= ONE) for t in thresholds):
         raise InputError("thresholds must lie in [0, 1]")
+    subs = _open_at(sessions, s)
+    cake_alloc = mms_fair_allocation(subs, s, thresholds)
+    last, rest = cake_alloc.pieces_in_order()[-1]
+    if subs[last].eval(rest.left, rest.right) < thresholds[last]:
+        raise ProtocolError(f"the rest is worth less than agent {last}'s "
+                            f"threshold {thresholds[last]}", agent=last)
+    return _closed(s, cake_alloc)
 
-    remaining = list(range(n))
-    assignment: Dict[int, Interval] = {}
-    start = ZERO
-    used = ZERO                      # total arc consumed, pieces + separators
-    order: List[int] = []
-    while remaining:
-        best = None
-        for i in remaining:
-            y = sessions[i].cut(start, thresholds[i])
-            if y is None:
-                raise ProtocolError(f"agent {i} cannot mark her threshold",
-                                    agent=i)
-            arc = (y - start) % ONE
-            if best is None or arc < best[0]:
-                best = (arc, i, y)
-        arc, winner, y = best
-        assignment[winner] = Interval(start, y)
-        order.append(winner)
-        remaining.remove(winner)
-        used += arc + s
-        start = (y + s) % ONE
-    if used > ONE:
-        raise ProtocolError(
-            f"pieces and separators wrap past the start; agent {order[-1]} "
-            f"was served last", agent=order[-1])
-    return Allocation(s, assignment, Topology.PIE)
+
+def _open_at(sessions: Sequence, s: Fraction) -> List[SubcakeSession]:
+    """The pie sessions opened at s: cakes on [s, 1], giving up [0, s]."""
+    return [SubcakeSession(sess, offset=s, length=ONE - s)
+            for sess in sessions]
+
+
+def _closed(s: Fraction, cake_alloc: Allocation) -> Allocation:
+    """A cake allocation on the pie opened at s, back on the circle."""
+    return Allocation(s, {i: Interval((s + p.left) % ONE, (s + p.right) % ONE)
+                          for i, p in cake_alloc.assignment.items()},
+                      Topology.PIE)
 
 
 def pie_decide_equals_one_over_k(sess, k: int,
@@ -233,7 +227,7 @@ def _greedy_from_marks(pos, cum, i, e, s, k):
 
 def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",
                             eps=None) -> Allocation:
-    """Open the circle at 0, sacrifice [0, s], and run a cake protocol.
+    """Open the circle at s, sacrifice [0, s], and run a cake protocol.
 
     Removing one arc destroys at most one piece of any circular partition,
     so the opened cake still supports the n-piece guarantee whenever the
@@ -243,8 +237,7 @@ def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",
     """
     n = len(sessions)
     s = _check_params(n + 2, s)     # n + 1 pieces fit on the pie
-    subs = [SubcakeSession(sess, offset=s, length=ONE - s)
-            for sess in sessions]
+    subs = _open_at(sessions, s)
     if mode == "approx":
         if eps is None:
             raise InputError("approx mode needs eps")
@@ -254,8 +247,4 @@ def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",
         cake_alloc = ordinal_allocation_2n_minus_1(subs, s)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    assignment = {
-        i: Interval((s + piece.left) % ONE, (s + piece.right) % ONE)
-        for i, piece in cake_alloc.assignment.items()
-    }
-    return Allocation(s, assignment, Topology.PIE)
+    return _closed(s, cake_alloc)

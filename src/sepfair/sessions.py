@@ -141,9 +141,10 @@ def replay_consistent(valuation: PiecewiseConstantValuation,
 class SubcakeSession(_Recorder):
     """A clockwise arc of a pie, re-exposed as a cake starting at 0.
 
-    Coordinates x in [0, length] map to pie points (offset + x) mod 1.  A
-    cut whose answer would leave the arc is reported as None (the query is
-    still counted by the parent, whose records this session shares).
+    Coordinates x in [0, length] map to pie points (offset + x) mod 1, so
+    length < 1 keeps the arc's two ends apart.  A cut whose answer would
+    leave the arc is reported as None (the query is still counted by the
+    parent, whose records this session shares).
     """
 
     topology = Topology.CAKE
@@ -157,8 +158,8 @@ class SubcakeSession(_Recorder):
         self.offset = frac(offset) % ONE
         self.domain_end = frac(length)
         self.known_total = known_total
-        if not (ZERO < self.domain_end <= ONE):
-            raise InputError("subcake length must be in (0, 1]")
+        if not (ZERO < self.domain_end < ONE):
+            raise InputError("subcake length must be in (0, 1)")
 
     def _to_pie(self, x: Fraction) -> Fraction:
         if not (ZERO <= x <= self.domain_end):

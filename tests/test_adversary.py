@@ -213,7 +213,7 @@ class TestHasLowValue:
 class TestPieWitnesses:
     def test_empty_transcript(self):
         k, s = 2, F(3, 10)
-        v_low, v_high = pie_threshold_witnesses(k, s, [])
+        v_low, v_high, _ = pie_threshold_witnesses(k, s, [])
         r = (1 - k * s) / k
         assert pie_exact_mms(v_low, k, s) == r
         assert pie_exact_mms(v_high, k, s) > r
@@ -222,7 +222,7 @@ class TestPieWitnesses:
     def test_transcript_consistency(self):
         t = [QueryRecord("eval", (F(0), F(1, 2)), F(1, 2)),
              QueryRecord("cut", (F(1, 4), F(1, 4)), F(1, 2))]
-        v_low, v_high = pie_threshold_witnesses(2, F(1, 4), t)
+        v_low, v_high, _ = pie_threshold_witnesses(2, F(1, 4), t)
         assert replay_consistent(v_low, t)
         assert replay_consistent(v_high, t)
 
@@ -234,7 +234,8 @@ class TestPieWitnesses:
         sess = QuerySession(PiecewiseConstantValuation.uniform(Topology.PIE))
         assert sess.eval(0, 1) == 1
         sess.cut(F(1, 4), F(1, 2))
-        v_low, v_high = pie_threshold_witnesses(2, F(1, 4), sess.transcript)
+        v_low, v_high, _ = pie_threshold_witnesses(2, F(1, 4),
+                                                   sess.transcript)
         assert replay_consistent(v_low, sess.transcript)
         assert replay_consistent(v_high, sess.transcript)
         assert pie_exact_mms(v_high, 2, F(1, 4)) > F(1, 4)
@@ -261,7 +262,7 @@ class TestPieWitnesses:
                     sess.cut(F(rng.randint(0, 40), 40),
                              F(rng.randint(0, 40), 40))
             v_low, v_high, part = pie_threshold_witnesses(
-                k, s, sess.transcript, return_partition=True)
+                k, s, sess.transcript)
             r = (1 - k * s) / k
             assert replay_consistent(v_high, sess.transcript)
             assert replay_consistent(v_low, sess.transcript)
@@ -282,8 +283,7 @@ class TestPieWitnesses:
 
     def test_golden_empty_transcript(self):
         """The CLI case: k = 2, s = 3/10 and nothing asked."""
-        v_low, v_high, part = pie_threshold_witnesses(
-            2, F(3, 10), [], return_partition=True)
+        v_low, v_high, part = pie_threshold_witnesses(2, F(3, 10), [])
         assert v_low.breakpoints == (0, 1) and v_low.densities == (1,)
         assert self._golden(v_high, part) == (
             ["0", "3/20", "1/4", "7/20", "1/2", "13/20", "3/4", "17/20",
@@ -300,8 +300,7 @@ class TestPieWitnesses:
              QueryRecord("cut", (F(1, 3), F(1, 6)), F(1, 2)),
              QueryRecord("eval", (F(3, 4), F(1, 8)), F(3, 8)),
              QueryRecord("cut", (F(7, 8), F(1, 4)), F(1, 8))]
-        _, v_high, part = pie_threshold_witnesses(
-            3, F(1, 10), t, return_partition=True)
+        _, v_high, part = pie_threshold_witnesses(3, F(1, 10), t)
         assert self._golden(v_high, part) == (
             ["0", "1/120", "1/8", "29/120", "1/4", "1/3", "41/120", "1/2",
              "23/40", "5/8", "27/40", "3/4", "7/8", "109/120", "1"],

@@ -436,3 +436,27 @@ def test_help_lists_every_subcommand():
     assert proc.returncode == 0
     for name in SUBCOMMANDS:
         assert name in proc.stdout
+
+
+def readme_cli_examples():
+    """The ``sepfair ...`` lines of the README's fenced blocks, as argv."""
+    with open(os.path.join(HERE, os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]
+    return [line.split()[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("sepfair ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(),
+                         ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch, capsys):
+    """Each README example exits 0 from the repository root; ``check``
+    audits an allocation written by its own ``allocate`` call."""
+    monkeypatch.chdir(os.path.join(HERE, os.pardir))
+    if argv[0] == "check":
+        instance = argv[argv.index("--instance") + 1]
+        assert main(["allocate", "--instance", instance,
+                     "--criterion", "mms"]) == 0
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(capsys.readouterr().out)
+        argv = [str(alloc) if arg == "alloc.json" else arg for arg in argv]
+    assert main(argv) == 0

@@ -50,11 +50,44 @@ class TestOrdinalAllocation:
         verify_allocation(alloc, [UNIFORM_PIE] * 2, [t, t])
         assert sum(q.query_count for q in sessions) == 3  # n(n+1)/2
 
-    def test_last_agent_gets_threshold_not_remainder(self):
-        alloc = pie_allocation_ordinal(
-            [sess(UNIFORM_PIE)], F(1, 10), [1], [F(1, 4)])
-        piece = alloc.assignment[0]
-        assert UNIFORM_PIE.value(piece) == F(1, 4)
+    def test_last_agent_keeps_the_rest(self):
+        """The knife runs on the pie opened at s, so a lone agent keeps
+        all of [s, 1], not just her threshold; the closing eval is the
+        one query."""
+        sessions = [sess(UNIFORM_PIE)]
+        alloc = pie_allocation_ordinal(sessions, F(1, 10), [1], [F(1, 4)])
+        assert alloc.assignment[0] == Interval(F(1, 10), F(0))
+        assert UNIFORM_PIE.value(alloc.assignment[0]) == F(9, 10)
+        assert sessions[0].query_count == 1
+
+    @pytest.mark.parametrize("ell", (1, 2))
+    def test_exact_shares_are_served(self, ell):
+        """Thresholds at the exact 1-out-of-(n+1) share, or for ell = 2 at
+        twice the 1-out-of-(2n+1) share (a lower bound on the 2-out-of-
+        (2n+1) share): every agent gets hers on separated pieces, in
+        exactly n(n+1)/2 queries."""
+        rng = random.Random(24 + ell)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            k = ell * n + 1
+            s = random_separation(rng, F(1, k))
+            vs = [random_valuation(rng, Topology.PIE) for _ in range(n)]
+            thresholds = [ell * pie_exact_mms(v, k, s) for v in vs]
+            sessions = [sess(v) for v in vs]
+            alloc = pie_allocation_ordinal(sessions, s, [ell] * n,
+                                           thresholds)
+            verify_allocation(alloc, vs, thresholds)
+            assert sum(q.query_count for q in sessions) == n * (n + 1) // 2
+
+    def test_knife_checks_its_own_separation(self):
+        """With ells above 1 the pie check asks only s < 1; the knife on
+        [s, 1] refuses n * s >= 1, and an empty list has no part."""
+        with pytest.raises(InputError, match=re.escape(
+                "separation 1/2 outside (0, 1/2)")):
+            pie_allocation_ordinal([sess(UNIFORM_PIE)] * 2, F(1, 2),
+                                   [2, 2], [0, 0])
+        with pytest.raises(InputError, match="need at least one part"):
+            pie_allocation_ordinal([], F(1, 10), [], [])
 
     def test_plural_share_spaced_arcs_instance(self):
         # five arcs worth 1/5 each, 1/30 long, spaced 1/6 apart: taking the

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +135,17 @@ def test_subcake_session_maps_coordinates():
     assert sub.eval(0, F(9, 10)) == F(9, 10)
     assert sub.cut(0, F(1, 2)) == F(1, 2)
     assert parent.query_count == 2
+
+
+def test_subcake_of_the_whole_pie_is_refused():
+    """Length 1 would map both ends of the arc onto one pie point, so
+    eval(0, 1) and cut(0, 1) would answer 0 where the arc is worth 1."""
+    parent = QuerySession(UNIFORM_PIE)
+    message = re.escape("subcake length must be in (0, 1)")
+    for length in (1, 0, F(3, 2)):
+        with pytest.raises(InputError, match=message):
+            SubcakeSession(parent, offset=F(1, 3), length=length)
+    assert parent.query_count == 0
 
 
 def test_subcake_cut_none_when_leaving_arc():

@@ -6,7 +6,10 @@ rejected in instance data on purpose; they only appear in optional CLI
 display output.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
+from typing import Tuple
 
 from .errors import InputError
 
@@ -33,6 +36,27 @@ def frac(x) -> Fraction:
             f"refusing float {x!r}: rational strings like '1/3' are required"
         )
     raise InputError(f"cannot interpret {x!r} as a rational number")
+
+
+def ratio(x) -> Tuple[int, int]:
+    """``x`` as integers ``(a, b)`` with ``x == a/b`` and ``b > 0``, not
+    necessarily in lowest terms.
+
+    ASCII ``"123"`` and ``"123/456"`` build no Fraction; every other input
+    goes through :func:`frac`, which also raises its errors.
+    """
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        if (num.isascii() and num.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            try:
+                b = int(den) if slash else 1
+                if b:
+                    return int(num), b
+            except ValueError:      # more digits than int() converts
+                pass
+    q = frac(x)
+    return q.numerator, q.denominator
 
 
 def fmt(q: Fraction) -> str:

@@ -7,7 +7,12 @@ canonical in [0, 1) with arcs traversed clockwise (increasing coordinate,
 wrapping at 1).
 
 Everything here is exact: coordinates, densities and values are Fractions
-and no operation ever rounds.
+and no operation ever rounds.  A valuation keeps its data as integers
+(breakpoints, densities and prefix sums, each over one common denominator),
+so ``prefix``, ``value_between`` and ``cut_leftmost`` locate their points by
+integer bisection and build one Fraction, the answer.  The Fraction tuples
+``breakpoints``, ``densities`` and ``_prefix`` are built on first use, so a
+valuation read only through queries never builds them.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .errors import InputError
-from .rationals import frac
+from .rationals import frac, ratio
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,41 +69,73 @@ class Interval:
 class PiecewiseConstantValuation:
     """Step density given by breakpoints ``p_0=0 < ... < p_d=1`` and one
     nonnegative density per segment, normalized to total value 1.
+
+    Held as integers: breakpoint ``i`` is ``_xs[i] / _x_den``, density ``i``
+    is ``_gs[i] / _g_den`` and ``prefix(p_i)`` is ``_sums[i] / _unit`` with
+    ``_unit = _x_den * _g_den``.  ``breakpoints``, ``densities`` and
+    ``_prefix`` are the same values as tuples of Fractions, built on first
+    use and cached.
     """
 
-    __slots__ = ("topology", "breakpoints", "densities", "_prefix")
+    __slots__ = ("topology", "_xs", "_x_den", "_gs", "_g_den", "_sums",
+                 "_unit", "_bp_view", "_g_view", "_sum_view")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence,
                  topology: Topology = Topology.CAKE):
-        # Tuples from lists: tuple(<genexpr>) shrinks onto a free list.
-        bps = tuple([frac(p) for p in breakpoints])
-        dens = tuple([frac(g) for g in densities])
+        bps = [ratio(p) for p in breakpoints]
+        dens = [ratio(g) for g in densities]
         if len(bps) < 2 or len(dens) != len(bps) - 1:
             raise InputError("need d+1 breakpoints and d densities")
-        if bps[0] != 0 or bps[-1] != 1:
+        if bps[0][0] != 0 or bps[-1][0] != bps[-1][1]:
             raise InputError("breakpoints must start at 0 and end at 1")
-        # Prefix sums in integers: breakpoints scaled by the lcm of their
-        # denominators, densities by the lcm of theirs.
-        x_den = lcm(*[p.denominator for p in bps])
-        g_den = lcm(*[g.denominator for g in dens])
-        xs = [p.numerator * (x_den // p.denominator) for p in bps]
+        # Breakpoints scaled by the lcm of their denominators, densities by
+        # the lcm of theirs.
+        x_den = lcm(*[b for _, b in bps])
+        g_den = lcm(*[b for _, b in dens])
+        xs = [a * (x_den // b) for a, b in bps]
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise InputError("breakpoints must be strictly increasing")
-        if any(g.numerator < 0 for g in dens):
+        gs = [a * (g_den // b) for a, b in dens]
+        if any(g < 0 for g in gs):
             raise InputError("densities must be nonnegative")
         total = 0
         sums = [0]
-        for a, b, g in zip(xs, xs[1:], dens):
-            total += g.numerator * (g_den // g.denominator) * (b - a)
+        for a, b, g in zip(xs, xs[1:], gs):
+            total += g * (b - a)
             sums.append(total)
         unit = x_den * g_den
         if total != unit:
             raise InputError("valuation not normalized: total value is "
                              f"{Fraction(total, unit)}")
         self.topology = Topology(topology)
-        self.breakpoints = bps
-        self.densities = dens
-        self._prefix = tuple([Fraction(q, unit) for q in sums])
+        self._xs, self._x_den = xs, x_den
+        self._gs, self._g_den = gs, g_den
+        self._sums, self._unit = sums, unit
+        self._bp_view = self._g_view = self._sum_view = None
+
+    # The views are tuples from lists: tuple(<genexpr>) shrinks onto a free
+    # list.
+    @property
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        if self._bp_view is None:
+            x_den = self._x_den
+            self._bp_view = tuple([Fraction(x, x_den) for x in self._xs])
+        return self._bp_view
+
+    @property
+    def densities(self) -> Tuple[Fraction, ...]:
+        if self._g_view is None:
+            g_den = self._g_den
+            self._g_view = tuple([Fraction(g, g_den) for g in self._gs])
+        return self._g_view
+
+    @property
+    def _prefix(self) -> Tuple[Fraction, ...]:
+        """prefix(p) at every breakpoint p."""
+        if self._sum_view is None:
+            unit = self._unit
+            self._sum_view = tuple([Fraction(q, unit) for q in self._sums])
+        return self._sum_view
 
     # -- construction helpers -------------------------------------------------
 
@@ -120,15 +157,23 @@ class PiecewiseConstantValuation:
 
     # -- basic queries ---------------------------------------------------------
 
+    def _scaled(self, n: int, d: int) -> int:
+        """prefix(n/d) times ``_unit * d``, for 0 <= n <= d: one bisection
+        and integer arithmetic."""
+        xs = self._xs
+        t = n * self._x_den
+        j = bisect_right(xs, t // d) - 1
+        if j == len(self._gs):  # n/d == 1
+            return self._unit * d
+        return self._sums[j] * d + self._gs[j] * (t - xs[j] * d)
+
     def prefix(self, x: Fraction) -> Fraction:
         """Value of [0, x], exact."""
         x = frac(x)
-        if not (ZERO <= x <= ONE):
+        n, d = x.numerator, x.denominator
+        if not 0 <= n <= d:
             raise InputError(f"coordinate {x} outside [0, 1]")
-        j = bisect_right(self.breakpoints, x) - 1
-        if j >= len(self.densities):  # x == 1
-            return self._prefix[-1]
-        return self._prefix[j] + self.densities[j] * (x - self.breakpoints[j])
+        return Fraction(self._scaled(n, d), self._unit * d)
 
     def value_between(self, a: Fraction, b: Fraction) -> Fraction:
         """Value of the piece from ``a`` to ``b``.
@@ -138,15 +183,22 @@ class PiecewiseConstantValuation:
         circle.
         """
         a, b = frac(a), frac(b)
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        den = self._unit * da * db
         if self.topology is Topology.CAKE:
-            if a > b:
+            if na * db > nb * da:
                 raise InputError(f"cake interval has left {a} > right {b}")
-            return self.prefix(b) - self.prefix(a)
-        a %= ONE
-        b %= ONE
-        if a <= b:
-            return self.prefix(b) - self.prefix(a)
-        return (ONE - self.prefix(a)) + self.prefix(b)
+            if not 0 <= nb <= db:
+                raise InputError(f"coordinate {b} outside [0, 1]")
+            if na < 0:                  # a <= b <= 1
+                raise InputError(f"coordinate {a} outside [0, 1]")
+            wrap = 0
+        else:
+            na %= da
+            nb %= db
+            wrap = den if na * db > nb * da else 0
+        return Fraction(self._scaled(nb, db) * da - self._scaled(na, da) * db
+                        + wrap, den)
 
     def value(self, piece: Interval) -> Fraction:
         piece.validate(self.topology)
@@ -155,16 +207,23 @@ class PiecewiseConstantValuation:
     def density_at(self, x: Fraction, side: int = +1) -> Fraction:
         """Density just right (side=+1) or just left (side=-1) of ``x``.
 
-        Just left of 0 is the first segment on a cake and the last one on a
-        pie, which wraps round there."""
+        A cake takes x in [0, 1]; a pie reads x mod 1.  Just left of 0 is
+        the first segment on a cake and the last one on a pie, which wraps
+        round there."""
         x = frac(x)
-        j = bisect_right(self.breakpoints, x) - 1
+        n, d = x.numerator, x.denominator
+        if self.topology is Topology.PIE:
+            n %= d
+        elif not 0 <= n <= d:
+            raise InputError(f"coordinate {x} outside [0, 1]")
+        xs, t = self._xs, n * self._x_den
+        j = bisect_right(xs, t // d) - 1
+        dens = self.densities
         if side >= 0:
-            return self.densities[min(j, len(self.densities) - 1)]
-        if j >= 0 and self.breakpoints[j] == x:
+            return dens[min(j, len(dens) - 1)]
+        if xs[j] * d == t:      # x is a breakpoint
             j -= 1
-        return self.densities[max(j, 0) if self.topology is Topology.CAKE
-                              else j]
+        return dens[max(j, 0) if self.topology is Topology.CAKE else j]
 
     def __eq__(self, other):
         return (isinstance(other, PiecewiseConstantValuation)
@@ -183,39 +242,61 @@ class PiecewiseConstantValuation:
 # -- operations ----------------------------------------------------------------
 
 
+def _target(v: PiecewiseConstantValuation, n: int, d: int,
+            alpha: Fraction) -> Tuple[int, int]:
+    """(t, e) with prefix(n/d) + alpha == t / (v._unit * e)."""
+    e = d * alpha.denominator
+    return (v._scaled(n, d) * alpha.denominator
+            + alpha.numerator * v._unit * d), e
+
+
+def _reach(v: PiecewiseConstantValuation, j: int, t: int,
+           e: int) -> Tuple[int, int]:
+    """The point (num, den) of segment j - 1 where the prefix reaches
+    t / (v._unit * e); segment j - 1 must have positive density."""
+    g = v._gs[j - 1]
+    return (v._xs[j - 1] * e * g + t - v._sums[j - 1] * e,
+            v._x_den * e * g)
+
+
 def cut_leftmost(v: PiecewiseConstantValuation, x: Fraction, alpha: Fraction,
                  end: Optional[Fraction] = None) -> Optional[Fraction]:
     """First point y (clockwise from x on a pie) with value(v, [x, y]) == alpha.
 
     Returns None when the value available after x is below alpha.  On a cake
     the cut must lie at or before ``end`` (default 1); a pie cut may wrap
-    once around the whole circle.  The cut is one bisection on the prefix
-    values for prefix(x) + alpha, O(log d); on a pie a target above 1
+    once around the whole circle.  The cut is one bisection on the integer
+    prefix sums for prefix(x) + alpha, O(log d); on a pie a target above 1
     wraps to target - 1.
     """
     x, alpha = frac(x), frac(alpha)
-    if alpha < 0:
+    if alpha.numerator < 0:
         raise InputError("cut target must be nonnegative")
-    stop = ONE if end is None else frac(end)
+    sn, sd = (1, 1) if end is None else ratio(end)
+    n, d = x.numerator, x.denominator
     # An explicit end keeps a pie cut on the non-wrapping arc [x, end].
     wraps = v.topology is Topology.PIE and end is None
     if wraps:
-        x %= ONE
-    elif not (ZERO <= x <= stop <= ONE):
-        raise InputError(f"cut anchor {x} outside [0, {stop}]")
-    if alpha == 0:
+        if not 0 <= n < d:
+            x %= ONE
+            n, d = x.numerator, x.denominator
+    elif not (0 <= n and n * sd <= sn * d and sn <= sd):
+        raise InputError(f"cut anchor {x} outside [0, {Fraction(sn, sd)}]")
+    if alpha.numerator == 0:
         return x
-    target = v.prefix(x) + alpha
-    if wraps and target > ONE:
-        target, stop = target - ONE, x
-    j = bisect_left(v._prefix, target)
-    if j == len(v._prefix):
+    t, e = _target(v, n, d, alpha)
+    whole = v._unit * e
+    if wraps and t > whole:
+        t, sn, sd = t - whole, n, d
+    sums = v._sums
+    j = bisect_left(sums, -(-t // e))
+    if j == len(sums):
         return None
-    # prefix[j - 1] < target <= prefix[j], so segment j - 1 has value.
-    y = v.breakpoints[j - 1] + (target - v._prefix[j - 1]) / v.densities[j - 1]
-    if y > stop:
+    # sums[j - 1] < target <= sums[j], so segment j - 1 has value.
+    yn, yd = _reach(v, j, t, e)
+    if yn * sd > sn * yd:
         return None
-    return y % ONE if wraps else y
+    return Fraction(yn % yd if wraps else yn, yd)
 
 
 def cut_rightmost(v: PiecewiseConstantValuation, x: Fraction,
@@ -231,12 +312,12 @@ def cut_rightmost(v: PiecewiseConstantValuation, x: Fraction,
         return None
     # cut_leftmost's search with bisect_right: the first breakpoint worth
     # more than the target ends the zero-density run after the leftmost cut.
-    target = v.prefix(x) + frac(alpha)
-    j = bisect_right(v._prefix, target)
-    if j == len(v._prefix):
+    x = frac(x)
+    t, e = _target(v, x.numerator, x.denominator, frac(alpha))
+    j = bisect_right(v._sums, t // e)
+    if j == len(v._sums):
         return ONE
-    return (v.breakpoints[j - 1]
-            + (target - v._prefix[j - 1]) / v.densities[j - 1])
+    return Fraction(*_reach(v, j, t, e))
 
 
 def minimum_window_value(v: PiecewiseConstantValuation,
@@ -250,6 +331,8 @@ def minimum_window_value(v: PiecewiseConstantValuation,
     s = frac(s)
     if not (ZERO <= s <= ONE):
         raise InputError("window length must be in [0, 1]")
+    if s == ONE and v.topology is Topology.PIE:
+        return ONE              # the whole circle, not the empty arc (x, x)
     cands = set()
     if v.topology is Topology.CAKE:
         cands.update((ZERO, ONE - s))

@@ -1,5 +1,6 @@
 """Shared test utilities: instance generators and independent oracles."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import ceil, lcm
@@ -43,6 +44,69 @@ def random_separation(rng, upper, denom=40):
     if s >= upper:
         s = upper * Fraction(rng.randint(1, 9), 10)
     return s
+
+
+def running_sum(bps, dens):
+    """prefix(p) at every breakpoint p, summed in Fractions."""
+    prefix = [ZERO]
+    for a, b, g in zip(bps, bps[1:], dens):
+        prefix.append(prefix[-1] + g * (b - a))
+    return prefix
+
+
+class ReferenceValuation:
+    """prefix, value_between and the two cuts in plain Fraction arithmetic:
+    a Fraction bisection on the breakpoints or on the running prefix sums,
+    then one segment's Fraction arithmetic.  The oracle for the integer
+    kernel of ``PiecewiseConstantValuation``."""
+
+    def __init__(self, bps, dens, topology):
+        self.bps = [Fraction(p) for p in bps]
+        self.dens = [Fraction(g) for g in dens]
+        self.pre = running_sum(self.bps, self.dens)
+        self.topology = topology
+
+    def prefix(self, x):
+        j = bisect_right(self.bps, x) - 1
+        if j >= len(self.dens):
+            return self.pre[-1]
+        return self.pre[j] + self.dens[j] * (x - self.bps[j])
+
+    def value_between(self, a, b):
+        if self.topology is Topology.PIE:
+            a, b = a % ONE, b % ONE
+            if a > b:
+                return ONE - self.prefix(a) + self.prefix(b)
+        return self.prefix(b) - self.prefix(a)
+
+    def _reach(self, j, target):
+        return (self.bps[j - 1]
+                + (target - self.pre[j - 1]) / self.dens[j - 1])
+
+    def cut_leftmost(self, x, alpha, end=None):
+        stop = ONE if end is None else end
+        wraps = self.topology is Topology.PIE and end is None
+        if wraps:
+            x %= ONE
+        if alpha == 0:
+            return x
+        target = self.prefix(x) + alpha
+        if wraps and target > ONE:
+            target, stop = target - ONE, x
+        j = bisect_left(self.pre, target)
+        if j == len(self.pre):
+            return None
+        y = self._reach(j, target)
+        if y > stop:
+            return None
+        return y % ONE if wraps else y
+
+    def cut_rightmost(self, x, alpha):
+        if self.cut_leftmost(x, alpha) is None:
+            return None
+        target = self.prefix(x) + alpha
+        j = bisect_right(self.pre, target)
+        return ONE if j == len(self.pre) else self._reach(j, target)
 
 
 def max_density(v):

@@ -4,13 +4,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepfair.cake import Relation, approx_mms, decide
 from sepfair.errors import InputError
+from sepfair.pie import pie_approx_mms
 from sepfair.rationals import frac
+from sepfair.sessions import QuerySession
 from sepfair.valuations import (Interval, PiecewiseConstantValuation,
                                 Topology, cut_leftmost, cut_rightmost,
                                 minimum_window_value, pieces_separated)
 
-from helpers import THIRDS, UNIFORM, UNIFORM_PIE, random_valuation
+from helpers import (THIRDS, UNIFORM, UNIFORM_PIE, ReferenceValuation,
+                     random_valuation, running_sum)
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=48)
 
@@ -66,17 +70,12 @@ def test_frac_matches_fraction(text):
                                                     want.denominator)
 
 
-def _running_sum(v):
-    prefix = [F(0)]
-    for a, b, g in zip(v.breakpoints, v.breakpoints[1:], v.densities):
-        prefix.append(prefix[-1] + g * (b - a))
-    return prefix
+PRIMES = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
+          10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141]
 
 
 def test_prefix_matches_fraction_running_sum():
     rng = random.Random(20)
-    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
-              10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141]
     for trial in range(60):
         topology = (Topology.CAKE, Topology.PIE)[trial % 2]
         if trial % 3:
@@ -84,7 +83,7 @@ def test_prefix_matches_fraction_running_sum():
         else:
             # pairwise-coprime denominators on breakpoints and weights
             d = rng.randint(1, 7)
-            dens = rng.sample(primes, 2 * d)
+            dens = rng.sample(PRIMES, 2 * d)
             cuts = sorted(F(rng.randrange(1, q), q) for q in dens[:d - 1])
             weights = [F(rng.randint(0, 3 * q), q) for q in dens[d:]]
             weights[rng.randrange(d)] += 1
@@ -92,7 +91,7 @@ def test_prefix_matches_fraction_running_sum():
                 [0] + cuts + [1], weights, topology)
         assert type(v._prefix) is tuple
         assert all(type(q) is F for q in v._prefix)
-        assert list(v._prefix) == _running_sum(v)
+        assert list(v._prefix) == running_sum(v.breakpoints, v.densities)
 
 
 @pytest.mark.parametrize("bps, dens, message", [
@@ -263,6 +262,11 @@ def test_minimum_window_value_examples():
     assert minimum_window_value(THIRDS, F(1, 3)) == 0
     assert minimum_window_value(UNIFORM, F(1, 4)) == F(1, 4)
     assert minimum_window_value(UNIFORM_PIE, F(1, 4)) == F(1, 4)
+    # a window of length 1 is the whole cake or the whole circle
+    pie = PiecewiseConstantValuation(("0", "1/4", "1/2", "1"),
+                                     ("2", "0", "1"), Topology.PIE)
+    for v in (THIRDS, UNIFORM, UNIFORM_PIE, pie):
+        assert minimum_window_value(v, 1) == 1
 
 
 def test_pieces_separated():
@@ -272,3 +276,169 @@ def test_pieces_separated():
     circle = (Interval(0, F(1, 4)), Interval(F(1, 2), F(3, 4)))
     assert pieces_separated(circle, F(1, 4), Topology.PIE, exact=True)
     assert not pieces_separated(circle, F(3, 10), Topology.PIE)
+
+
+def test_density_at_reads_its_domain():
+    bps, dens = ("0", "1/2", "1"), ("1/2", "3/2")
+    cake = PiecewiseConstantValuation(bps, dens, Topology.CAKE)
+    pie = PiecewiseConstantValuation(bps, dens, Topology.PIE)
+    for x in (F(-1, 2), F(5, 4)):
+        for side in (+1, -1):
+            with pytest.raises(InputError) as info:
+                cake.density_at(x, side)
+            assert str(info.value) == f"coordinate {x} outside [0, 1]"
+    assert cake.density_at(1) == cake.density_at(1, -1) == F(3, 2)
+    assert cake.density_at(0, -1) == F(1, 2)
+    # a pie reads x mod 1
+    assert pie.density_at(F(5, 4)) == pie.density_at(F(1, 4)) == F(1, 2)
+    assert pie.density_at(F(-1, 2)) == F(3, 2)
+    assert pie.density_at(F(3, 2), -1) == F(1, 2)
+    assert pie.density_at(1, -1) == pie.density_at(0, -1) == F(3, 2)
+    assert pie.density_at(1) == F(1, 2)
+
+
+def _text(q, scale=1):
+    return f"{q.numerator * scale}/{q.denominator * scale}"
+
+
+def _kernel_data(rng, trial):
+    """Breakpoints and densities as Fractions: zero runs on a 1/48 grid,
+    or pairwise-coprime prime denominators near 10^4."""
+    d = rng.randint(1, 10)
+    if trial % 3 == 1:
+        qs = rng.sample(PRIMES, 2 * min(d, 8))
+        d = len(qs) // 2
+        cuts = sorted(F(rng.randrange(1, q), q) for q in qs[:d - 1])
+        weights = [F(rng.randint(0, 3 * q), q) for q in qs[d:]]
+    else:
+        cuts = sorted(F(c, 48) for c in rng.sample(range(1, 48), d - 1))
+        weights = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 12), 12)
+                   for _ in range(d)]
+    if not any(weights):
+        weights[rng.randrange(d)] = F(1)
+    bps = [F(0)] + cuts + [F(1)]
+    total = sum(g * (b - a) for a, b, g in zip(bps, bps[1:], weights))
+    return bps, [g / total for g in weights]
+
+
+def _kernel_cases():
+    """Valuations given as "a/b" strings (every third one unreduced, such
+    as "2/4") with their plain-Fraction reference."""
+    rng = random.Random(25)
+    for trial in range(36):
+        topology = (Topology.CAKE, Topology.PIE)[trial % 2]
+        bps, dens = _kernel_data(rng, trial)
+        scale = (lambda: rng.randint(2, 4)) if trial % 3 == 2 else (lambda: 1)
+        v = PiecewiseConstantValuation([_text(p, scale()) for p in bps],
+                                       [_text(g, scale()) for g in dens],
+                                       topology)
+        zero_runs = [(a + b) / 2 for a, b, g in zip(bps, bps[1:], dens)
+                     if g == 0]
+        points = sorted({*bps, *zero_runs,
+                         *(F(rng.randint(0, 97), 97) for _ in range(4))})
+        yield v, ReferenceValuation(bps, dens, topology), points, rng
+
+
+def test_views_are_reduced_tuples_equal_to_the_inputs():
+    for v, ref, _, _ in _kernel_cases():
+        for view, want in ((v.breakpoints, ref.bps), (v.densities, ref.dens),
+                           (v._prefix, ref.pre)):
+            assert type(view) is tuple and list(view) == want
+            assert all(type(q) is F for q in view)
+            assert all(F(q.numerator, q.denominator) == q
+                       and q.denominator > 0 for q in view)
+
+
+def test_prefix_and_value_match_the_reference():
+    for v, ref, points, _ in _kernel_cases():
+        for x in points:
+            got = v.prefix(x)
+            assert type(got) is F and got == ref.prefix(x), (v, x)
+        pairs = [(a, b) for a in points for b in points]
+        if v.topology is Topology.CAKE:
+            pairs = [(a, b) for a, b in pairs if a <= b]
+        else:
+            # arcs wrap when b < a; 1 + a reads as a
+            pairs += [(a + 1, b) for a, b in pairs[::3]]
+        for a, b in pairs:
+            assert v.value_between(a, b) == ref.value_between(a, b), (v, a, b)
+
+
+def _cut_targets(v, ref, x, points, rng):
+    """0, the whole remainder, just above it, targets that end on a
+    breakpoint (so also at the start of every zero run) and one at
+    random; on a cake also the ends the cut may stop at."""
+    if v.topology is Topology.PIE:
+        rest = F(1)
+        reach = [ref.value_between(x, p) for p in points]
+    else:
+        rest = ref.value_between(x, 1)
+        reach = [ref.value_between(x, p) for p in points if p >= x]
+    alphas = {F(0), rest, rest + F(1, 97), rest * F(rng.randint(1, 96), 97),
+              *reach}
+    ends = [None]
+    if v.topology is Topology.CAKE:
+        ends += [p for p in points if p >= x][:4]
+    else:
+        ends += [p for p in points if p >= x][-2:]
+    return sorted(alphas), ends
+
+
+def test_cuts_match_the_reference():
+    for v, ref, points, rng in _kernel_cases():
+        anchors = points + ([F(1), F(5, 4)] if v.topology is Topology.PIE
+                            else [])
+        for x in anchors:
+            alphas, ends = _cut_targets(v, ref, x, points, rng)
+            for alpha in alphas:
+                for end in ends:
+                    if end is not None and end < x:
+                        continue
+                    got = cut_leftmost(v, x, alpha, end)
+                    assert got == ref.cut_leftmost(x, alpha, end), \
+                        (v, x, alpha, end)
+                    assert got is None or type(got) is F
+                if v.topology is Topology.CAKE:
+                    got = cut_rightmost(v, x, alpha)
+                    assert got == ref.cut_rightmost(x, alpha), (v, x, alpha)
+
+
+@pytest.mark.parametrize("text", [
+    "3/0", "-1/2", " 1/2", "1/-2", "0.5", "\u0661/2", "1/\u0662",
+    "+1/2", "1/2 ", "1/" + "1" * 5000])
+@pytest.mark.parametrize("slot", ["breakpoint", "density"])
+def test_constructor_reads_other_text_through_frac(text, slot):
+    # text the integer parse does not take: the constructor answers as it
+    # does for the value frac reads, or with frac's own error
+    if slot == "breakpoint":
+        bps, dens = ["0", text, "1"], ["1", "1"]
+    else:
+        bps, dens = ["0", "1/2", "1"], [text, "3/2"]
+
+    def outcome(make):
+        try:
+            v = make()
+        except InputError as exc:
+            return str(exc), type(exc.__cause__)
+        return v.breakpoints, v.densities
+
+    want = outcome(lambda: PiecewiseConstantValuation(
+        [frac(p) for p in bps], [frac(g) for g in dens]))
+    assert outcome(lambda: PiecewiseConstantValuation(bps, dens)) == want
+
+
+def test_queries_build_no_fraction_views():
+    cake = PiecewiseConstantValuation(("0", "1/3", "2/3", "1"),
+                                      ("6/5", "0", "9/5"))
+    pie = PiecewiseConstantValuation(("0", "1/4", "1/2", "1"),
+                                     ("2", "0", "1"), Topology.PIE)
+
+    def views(v):
+        return v._bp_view, v._g_view, v._sum_view
+
+    assert views(cake) == views(pie) == (None, None, None)
+    assert decide(QuerySession(cake), 2, F(1, 10), F(1, 3),
+                  Relation.AT_LEAST)[0]
+    approx_mms(QuerySession(cake), 3, F(1, 10), F(1, 64))
+    pie_approx_mms(QuerySession(pie), 2, F(1, 10), F(1, 64))
+    assert views(cake) == views(pie) == (None, None, None)

@@ -32,7 +32,8 @@ from .fairness import equitable_bisection, envy_free_sperner, fairness_check
 from .instances import (Instance, allocation_to_json, instance_to_json,
                         load_allocation, load_instance)
 from .pie import (pie_allocation_ordinal, pie_approx_mms,
-                  pie_decide_equals_one_over_k, pie_decide_positive)
+                  pie_decide_equals_one_over_k, pie_decide_positive,
+                  pie_via_cake_allocation)
 from .rationals import fmt, frac
 from .sessions import QuerySession
 from .valuations import Topology
@@ -86,11 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance(sp, agent=False)
     sp.add_argument("--criterion", choices=("mms", "ordinal", "ef", "eq"),
                     required=True)
-    sp.add_argument("--epsilon", default=None)
-    sp.add_argument("--ell", default="1",
-                    help="pie ordinal: comma list or single integer")
+    sp.add_argument("--epsilon", default=None, help=(
+        "mms: approximate within it (default: exact); pie ordinal: accuracy "
+        "of the thresholds (1/100); ef: envy (1/10^6); eq: 1/10^9"))
+    sp.add_argument("--ell", default="1", help="pie ordinal: each agent's "
+                    "ell, comma list or one integer; read with --thresholds")
     sp.add_argument("--thresholds", default=None,
-                    help="pie ordinal: comma list of rational thresholds")
+                    help="pie ordinal: comma list of rational thresholds "
+                         "(default: approx_mms on the pie opened at s)")
 
     sp = add_parser("pie-decide", help="pie share decisions")
     add_instance(sp)
@@ -152,18 +156,14 @@ def run(args) -> dict:
         eps = frac(args.epsilon)
         sess = QuerySession(_agent_valuation(inst, args.agent))
         if inst.topology is Topology.CAKE:
-            n = args.n if args.n is not None else inst.n
-            r, part = approx_mms(sess, n, inst.s, eps)
-            out = {"agent": args.agent, "n": n, "r": fmt(r),
-                   "queries": sess.query_count,
-                   "witness": _witness_json(part)}
+            key, size = "n", args.n if args.n is not None else inst.n
+            r, part = approx_mms(sess, size, inst.s, eps)
         else:
-            k = args.k if args.k is not None else (
+            key, size = "k", args.k if args.k is not None else (
                 (args.n if args.n is not None else inst.n) + 1)
-            r, part = pie_approx_mms(sess, k, inst.s, eps)
-            out = {"agent": args.agent, "k": k, "r": fmt(r),
-                   "queries": sess.query_count,
-                   "witness": _witness_json(part)}
+            r, part = pie_approx_mms(sess, size, inst.s, eps)
+        out = {"agent": args.agent, key: size, "r": fmt(r),
+               "queries": sess.query_count, "witness": _witness_json(part)}
         transcript_sessions = [sess]
 
     elif args.command == "decide":
@@ -190,14 +190,13 @@ def run(args) -> dict:
         if args.mode == "one-over-k":
             answer, witness = pie_decide_equals_one_over_k(
                 sess, args.k, inst.s)
-            out = {"agent": args.agent, "k": args.k, "mode": args.mode,
-                   "answer": answer, "queries": sess.query_count}
-            if witness is not None:
-                out["witness"] = _witness_json(witness)
         else:
             answer = pie_decide_positive(sess, args.k, inst.s)
-            out = {"agent": args.agent, "k": args.k, "mode": args.mode,
-                   "answer": answer, "queries": sess.query_count}
+            witness = None
+        out = {"agent": args.agent, "k": args.k, "mode": args.mode,
+               "answer": answer, "queries": sess.query_count}
+        if witness is not None:
+            out["witness"] = _witness_json(witness)
         transcript_sessions = [sess]
 
     else:       # check
@@ -232,7 +231,6 @@ def _parse_ells(text: str, n: int):
 
 
 def _run_allocate(args, inst):
-    n = inst.n
     eps = frac(args.epsilon) if args.epsilon is not None else None
     if args.criterion == "mms":
         if inst.topology is not Topology.CAKE:
@@ -241,38 +239,32 @@ def _run_allocate(args, inst):
         if eps is None:
             alloc = exact_mms_allocation(inst.agents, inst.s)
             return (allocation_to_json(alloc, inst, None), [])
-        sessions = [QuerySession(v) for v in inst.agents]
-        thresholds = [approx_mms(sess, n, inst.s, eps)[0]
-                      for sess in sessions]
-        alloc = mms_fair_allocation(sessions, inst.s, thresholds)
-        queries = sum(sess.query_count for sess in sessions)
-        return (allocation_to_json(alloc, inst, queries), sessions)
-    if args.criterion == "ordinal":
-        sessions = [QuerySession(v) for v in inst.agents]
-        if inst.topology is Topology.CAKE:
-            alloc = ordinal_allocation_2n_minus_1(sessions, inst.s)
-        else:
-            ells = _parse_ells(args.ell, n)
-            if args.thresholds is not None:
-                thresholds = [frac(t) for t in args.thresholds.split(",")]
-            elif all(e == 1 for e in ells):
-                eps_t = eps if eps is not None else Fraction(1, 100)
-                thresholds = [pie_approx_mms(sess, n + 1, inst.s, eps_t)[0]
-                              for sess in sessions]
-            else:
-                raise InputError(
-                    "ell > 1 needs explicit --thresholds (no query protocol "
-                    "approximates the plural share)")
-            alloc = pie_allocation_ordinal(sessions, inst.s, ells, thresholds)
-        queries = sum(sess.query_count for sess in sessions)
-        return (allocation_to_json(alloc, inst, queries), sessions)
-    if args.criterion == "ef":
+    elif args.criterion == "ef":
         eps_ef = eps if eps is not None else Fraction(1, 10**6)
         alloc = envy_free_sperner(inst.agents, inst.s, eps_ef)
-    else:       # equitable
+        return (allocation_to_json(alloc, inst, None), [])
+    elif args.criterion == "eq":
         eps_eq = eps if eps is not None else Fraction(1, 10**9)
         alloc = equitable_bisection(inst.agents, inst.s, None, eps_eq)
-    return (allocation_to_json(alloc, inst, None), [])
+        return (allocation_to_json(alloc, inst, None), [])
+    sessions = [QuerySession(v) for v in inst.agents]
+    if args.criterion == "mms":
+        thresholds = [approx_mms(sess, inst.n, inst.s, eps)[0]
+                      for sess in sessions]
+        alloc = mms_fair_allocation(sessions, inst.s, thresholds)
+    elif inst.topology is Topology.CAKE:
+        alloc = ordinal_allocation_2n_minus_1(sessions, inst.s)
+    else:
+        ells = _parse_ells(args.ell, inst.n)
+        if args.thresholds is None:
+            eps_t = eps if eps is not None else Fraction(1, 100)
+            alloc = pie_via_cake_allocation(sessions, inst.s, eps=eps_t)
+        else:
+            thresholds = [frac(t) for t in args.thresholds.split(",")]
+            alloc = pie_allocation_ordinal(sessions, inst.s, ells,
+                                           thresholds)
+    queries = sum(sess.query_count for sess in sessions)
+    return (allocation_to_json(alloc, inst, queries), sessions)
 
 
 def _pick_solver(args, **solvers):

@@ -229,22 +229,20 @@ def pie_via_cake_allocation(sessions: Sequence, s, mode: str = "approx",
                             eps=None) -> Allocation:
     """Open the circle at s, sacrifice [0, s], and run a cake protocol.
 
-    Removing one arc destroys at most one piece of any circular partition,
-    so the opened cake still supports the n-piece guarantee whenever the
-    circle supported n+1.  ``mode="approx"`` gives every agent her
-    1-out-of-(n+1) share minus eps; ``mode="ordinal2n"`` gives the
-    1-out-of-2n share with no eps.
+    ``mode="approx"``: ``pie_allocation_ordinal`` on thresholds from
+    ``approx_mms`` on the opened sessions, n*ceil(log2(1/eps)) queries or
+    fewer each.  Each is within eps below her 1-out-of-n share of [s, 1],
+    which is at least her ell-out-of-(ell*n+1) pie share for every ell.
+    ``mode="ordinal2n"`` gives the 1-out-of-2n share with no eps.
     """
     n = len(sessions)
     s = _check_params(n + 2, s)     # n + 1 pieces fit on the pie
     subs = _open_at(sessions, s)
-    if mode == "approx":
-        if eps is None:
-            raise InputError("approx mode needs eps")
-        thresholds = [approx_mms(sub, n, s, frac(eps))[0] for sub in subs]
-        cake_alloc = mms_fair_allocation(subs, s, thresholds)
-    elif mode == "ordinal2n":
-        cake_alloc = ordinal_allocation_2n_minus_1(subs, s)
-    else:
+    if mode == "ordinal2n":
+        return _closed(s, ordinal_allocation_2n_minus_1(subs, s))
+    if mode != "approx":
         raise InputError(f"unknown mode {mode!r}")
-    return _closed(s, cake_alloc)
+    if eps is None:
+        raise InputError("approx mode needs eps")
+    thresholds = [approx_mms(sub, n, s, eps)[0] for sub in subs]
+    return pie_allocation_ordinal(sessions, s, [1] * n, thresholds)

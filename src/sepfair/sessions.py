@@ -142,18 +142,18 @@ class SubcakeSession(_Recorder):
     """A clockwise arc of a pie, re-exposed as a cake starting at 0.
 
     Coordinates x in [0, length] map to pie points (offset + x) mod 1, so
-    length < 1 keeps the arc's two ends apart.  A cut whose answer would
-    leave the arc is reported as None (the query is still counted by the
-    parent, whose records this session shares).
+    length < 1 keeps the arc's two ends apart.  Each is checked once, here;
+    queries are answered and recorded as the parent's.  A cut that would
+    leave the arc, a full turn included, is None (and still counted).
     """
 
     topology = Topology.CAKE
 
-    def __init__(self, parent, offset, length,
+    def __init__(self, parent: QuerySession, offset, length,
                  known_total: Optional[Fraction] = None):
         if parent.topology is not Topology.PIE:
             raise InputError("SubcakeSession wraps a pie session")
-        self._parent = parent
+        self._valuation = parent._valuation
         self._records = parent._records
         self.offset = frac(offset) % ONE
         self.domain_end = frac(length)
@@ -164,21 +164,27 @@ class SubcakeSession(_Recorder):
     def _to_pie(self, x: Fraction) -> Fraction:
         if not (ZERO <= x <= self.domain_end):
             raise InputError(f"coordinate {x} outside the subcake")
-        return (self.offset + x) % ONE
+        y = self.offset + x
+        return y - ONE if y >= ONE else y
 
     def eval(self, x, y) -> Fraction:
         x, y = frac(x), frac(y)
         if x > y:
             raise InputError(f"eval needs x <= y, got {x} > {y}")
-        return self._parent.eval(self._to_pie(x), self._to_pie(y))
+        x, y = self._to_pie(x), self._to_pie(y)
+        return self._record("eval", (x, y),
+                            self._valuation.value_between(x, y))
 
     def cut(self, x, alpha) -> Optional[Fraction]:
         x = frac(x)
-        anchor = self._to_pie(x)
-        answer = self._parent.cut(anchor, alpha)
+        anchor, alpha = self._to_pie(x), frac(alpha)
+        if not (ZERO <= alpha <= ONE):
+            raise InputError(f"cut target {alpha} outside [0, 1]")
+        answer = self._record("cut", (anchor, alpha),
+                              cut_leftmost(self._valuation, anchor, alpha))
         if answer is None:
             return None
-        arc = (answer - anchor) % ONE
-        if arc > self.domain_end - x:
-            return None            # the cut left the arc: not enough value
-        return x + arc
+        arc = answer - anchor
+        if alpha and arc <= 0:
+            arc += ONE             # wrapped past 0, or a full turn
+        return x + arc if arc <= self.domain_end - x else None

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from sepfair.cli import main
-from sepfair.exact_mms import exact_mms, pie_exact_mms
-from sepfair.valuations import Topology
+from sepfair.exact_mms import _max_share, exact_mms, pie_exact_mms
+from sepfair.instances import Instance, save_instance
+from sepfair.valuations import Interval, Topology
 
 from helpers import THIRDS, random_separation, random_valuation
 
@@ -97,6 +98,102 @@ def test_allocate_ordinal_pie(capsys):
     values = [F(item["value"]) for item in out["allocation"]]
     target = F(1, 3) - F(1, 10) - F(1, 40)
     assert all(v >= target for v in values)
+
+
+def test_allocate_ordinal_pie_full_turn_threshold(capsys):
+    """A threshold of 1 cannot be marked on [s, 1]: the cut that goes all
+    the way round the pie is not the empty piece [s, s]."""
+    assert main(["allocate", "--criterion", "ordinal", "--instance",
+                 UNI2_PIE_PATH, "--thresholds", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "protocol failure: agent 0 cannot mark a piece worth 1\n"
+
+
+def write_instance(tmp_path, topology, s, vs):
+    path = tmp_path / "inst.json"
+    save_instance(Instance(topology, s, tuple(vs)), str(path))
+    return str(path)
+
+
+def own_values(out, vs):
+    """Each agent's value for her piece, in agent order (as listed)."""
+    return [vs[item["agent"]].value(Interval(F(item["left"]),
+                                             F(item["right"])))
+            for item in out["allocation"]]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_allocate_ordinal_pie_plural_ell_without_thresholds(tmp_path,
+                                                            capsys, n):
+    """The thresholds from the pie opened at s serve every ell: each agent
+    gets her exact 1-out-of-n share of [s, 1] minus eps."""
+    rng = random.Random(2810 + n)
+    eps = F(1, 100)
+    for _ in range(6):
+        vs = [random_valuation(rng, Topology.PIE, max_segments=6)
+              for _ in range(n)]
+        s = random_separation(rng, F(1, n + 1))
+        code, out = run_cli(capsys, "allocate", "--criterion", "ordinal",
+                            "--ell", "2", "--instance",
+                            write_instance(tmp_path, Topology.PIE, s, vs))
+        assert code == 0
+        for v, own in zip(vs, own_values(out, vs)):
+            view = (v.breakpoints, v.densities, v._prefix)
+            assert own >= _max_share([view] * n, s, F(1), s) - eps
+        # ceil(log2(1/eps)) = 7 bisection rounds per threshold
+        assert out["query_count_total"] <= n * n * 7 + n * (n + 1) // 2
+
+
+def promise_kept(criterion, topology, vs, s, own, report):
+    """Whether the check report and own values show the criterion's
+    promise: the exact share (mms), the 1-out-of-(2n-1) share (cake
+    ordinal), the 1-out-of-(n+1) share within the default eps (pie
+    ordinal), equal values (eq) or envy within the default eps (ef)."""
+    n = len(vs)
+    if criterion == "mms":
+        return report["mms_dominance"] == [True] * n
+    if criterion == "ordinal" and topology is Topology.CAKE:
+        return all(x >= exact_mms(v, 2 * n - 1, s)[0]
+                   for v, x in zip(vs, own))
+    if criterion == "ordinal":
+        return all(x + F(1, 100) >= pie_exact_mms(v, n + 1, s)
+                   for v, x in zip(vs, own))
+    if criterion == "eq":
+        return report["equitability_gap"] == "0"
+    return F(report["envy_max"]) <= F(1, 10**6)
+
+
+@pytest.mark.parametrize("criterion, topology", (
+    ("mms", Topology.CAKE), ("ordinal", Topology.CAKE),
+    ("ordinal", Topology.PIE), ("eq", Topology.CAKE), ("ef", Topology.CAKE)))
+def test_allocate_then_check_round_trip(tmp_path, capsys, criterion,
+                                        topology):
+    """``check`` on the output of ``allocate`` reports separated pieces and
+    the criterion's promise, on seeded instances."""
+    rng = random.Random(2820)
+    for _ in range(4):
+        n = 2 if criterion == "ef" else rng.randint(2, 3)
+        vs = [random_valuation(rng, topology) for _ in range(n)]
+        # the pieces must fit: n + 1 on a pie, 2n - 1 for the cake ordinal
+        if topology is Topology.PIE:
+            upper = F(1, n + 1)
+        else:
+            upper = F(1, 2 * n - 2 if criterion == "ordinal" else n - 1)
+        s = random_separation(rng, upper)
+        inst_path = write_instance(tmp_path, topology, s, vs)
+        code, out = run_cli(capsys, "allocate", "--criterion", criterion,
+                            "--instance", inst_path)
+        assert code == 0
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text(json.dumps(out))
+        code, report = run_cli(capsys, "check", "--instance", inst_path,
+                               "--allocation", str(alloc_path))
+        assert code == 0
+        assert report["separation_ok"] is True
+        assert promise_kept(criterion, topology, vs, s, own_values(out, vs),
+                            report)
 
 
 @pytest.mark.parametrize("ell, message", (

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
@@ -295,6 +296,25 @@ class TestViaCake:
                                         F(1, 100))
         target = F(7, 30) - F(1, 100)
         verify_allocation(alloc, [UNIFORM_PIE] * 2, [target, target])
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_approx_serves_the_pie_share_within_budget(self, n):
+        """Thresholds from ``approx_mms`` on the opened pie: every agent
+        gets at least her exact 1-out-of-(n+1) pie share minus eps, in at
+        most n*n*ceil(log2(1/eps)) + n(n+1)/2 queries."""
+        rng = random.Random(2800 + n)
+        for idx in range(12):
+            eps = (F(1, 100), F(1, 8), F(3, 64))[idx % 3]
+            s = random_separation(rng, F(1, n + 1))
+            vs = [random_valuation(rng, Topology.PIE, max_segments=6,
+                                   zero_prob=0.3) for _ in range(n)]
+            sessions = [sess(v) for v in vs]
+            alloc = pie_via_cake_allocation(sessions, s, "approx", eps)
+            verify_allocation(alloc, vs, [pie_exact_mms(v, n + 1, s) - eps
+                                          for v in vs])
+            rounds = (ceil(1 / eps) - 1).bit_length()   # ceil(log2(1/eps))
+            assert sum(q.query_count for q in sessions) <= \
+                n * n * rounds + n * (n + 1) // 2
 
     def test_single_agent_ordinal_gets_opened_pie(self):
         alloc = pie_via_cake_allocation([sess(UNIFORM_PIE)], F(1, 10),

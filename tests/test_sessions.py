@@ -158,6 +158,63 @@ def test_subcake_cut_none_when_leaving_arc():
     assert parent.query_count == 1
 
 
+def test_subcake_full_turn_is_not_an_empty_arc():
+    """The parent answers cut(1/10, 1) with a full turn back to 1/10; on
+    the subcake that is past the arc's end, not the empty arc at 0."""
+    parent = QuerySession(UNIFORM_PIE)
+    sub = SubcakeSession(parent, offset=F(1, 10), length=F(9, 10))
+    assert sub.cut(0, 1) is None
+    assert sub.cut(0, 0) == 0
+    assert [rec.answer for rec in parent.transcript] == [F(1, 10), F(1, 10)]
+
+
+def test_subcake_queries_match_the_pie_arc():
+    """Every subcake answer is read off the pie arc from the mapped anchor,
+    and every query lands on the parent's transcript with the mapped
+    coordinates, as the parent's own eval and cut record them."""
+    rng = random.Random(28)
+    for _ in range(30):
+        v = random_valuation(rng, Topology.PIE, max_segments=5)
+        offset, length = F(rng.randrange(12), 12), F(rng.randint(1, 11), 12)
+        parent = QuerySession(v)
+        sub = SubcakeSession(parent, offset=offset, length=length)
+        mirror = QuerySession(v)
+        for _ in range(10):
+            x, y = sorted(F(rng.randint(0, 24), 24) * length
+                          for _ in range(2))
+            alpha = F(rng.randint(0, 8), 8)
+            px, py = (offset + x) % 1, (offset + y) % 1
+            assert sub.eval(x, y) == mirror.eval(px, py) == \
+                v.value_between(px, py)
+            got = sub.cut(x, alpha)
+            mirror.cut(px, alpha)
+            if got is None:
+                assert alpha > 0
+                assert v.value_between(px, (offset + length) % 1) < alpha
+            else:
+                assert x <= got <= length
+                assert v.value_between(px, (offset + got) % 1) == alpha
+                if alpha and got > x:
+                    short = (offset + got - F(1, 10**6)) % 1
+                    assert v.value_between(px, short) < alpha
+        assert parent.transcript == mirror.transcript
+
+
+@pytest.mark.parametrize("kind, args, message", (
+    ("eval", (F(1, 2), F(1, 4)), "eval needs x <= y, got 1/2 > 1/4"),
+    ("eval", (0, 1), "coordinate 1 outside the subcake"),
+    ("eval", (F(-1, 10), 0), "coordinate -1/10 outside the subcake"),
+    ("cut", (F(3, 5), 0), "coordinate 3/5 outside the subcake"),
+    ("cut", (0, 2), "cut target 2 outside [0, 1]"),
+    ("cut", (0, F(-1, 2)), "cut target -1/2 outside [0, 1]")))
+def test_subcake_refuses_bad_coordinates_uncounted(kind, args, message):
+    parent = QuerySession(UNIFORM_PIE)
+    sub = SubcakeSession(parent, offset=F(7, 10), length=F(1, 2))
+    with pytest.raises(InputError, match=re.escape(message)):
+        getattr(sub, kind)(*args)
+    assert parent.query_count == 0
+
+
 def test_protocols_run_against_mock_session():
     """Protocol code sees only eval/cut/domain_end/known_total/topology."""
     from sepfair.cake import Relation, decide
